@@ -11,7 +11,7 @@
 // fig12 fig15 fig17 delta distill. "fig10" and "fig11" run together, as do
 // fig5/fig6/fig8 (one simulator sweep feeds all three). "distill" is the
 // tabularization differential harness: table size vs top-1 agreement vs
-// ns/prediction against the fp32 and int8 teachers.
+// ns/prediction against the fp32 teacher.
 package main
 
 import (
@@ -25,7 +25,6 @@ import (
 	"voyager/internal/experiments"
 	"voyager/internal/label"
 	"voyager/internal/metrics"
-	"voyager/internal/tensor"
 	"voyager/internal/tracing"
 )
 
@@ -41,11 +40,10 @@ func main() {
 		benches    = flag.String("benchmarks", "", "comma-separated benchmark subset (default: per-figure lists)")
 		workers    = flag.Int("workers", 0, "voyager data-parallel width (0/1 serial, -1 auto)")
 		bench      = flag.Bool("bench", false, "run the performance bench suite instead of artifacts")
-		benchCheck = flag.Bool("bench-check", false, "validate the newest BENCH_pr<N>.json (fail if matmul_256 or the predict paths regressed) and exit")
+		benchCheck = flag.Bool("bench-check", false, "validate the newest BENCH_pr<N>.json (fail if matmul_256 or the serial predict path regressed) and exit")
 		benchOut   = flag.String("bench-out", "auto", "bench suite JSON output path (auto: BENCH_pr<latest+1>.json)")
 		benchBase  = flag.String("bench-baseline", "auto", "prior bench JSON to diff against (auto: latest BENCH_pr<N>.json, \"\" disables)")
 		quiet      = flag.Bool("q", false, "suppress progress output")
-		fastMath   = flag.Bool("fastmath", false, "reassociated matmul kernels: faster, float32-rounding-level differences, NOT bit-reproducible across builds")
 
 		metricsOut  = flag.String("metrics", "", "stream NDJSON metric snapshots to this file")
 		metricsHTTP = flag.String("metrics-http", "", "serve /metrics, /trace and /debug/pprof on this address (e.g. localhost:6060)")
@@ -74,7 +72,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "invalid -workers %d (0 or 1 serial, -1 auto, N>1 parallel)\n", *workers)
 		os.Exit(2)
 	}
-	tensor.SetFastMath(*fastMath)
 	// The delta chain baselines each bench report against the latest prior
 	// one by number, so PR numbering gaps (a PR that didn't re-bench) don't
 	// point a report at a nonexistent file.

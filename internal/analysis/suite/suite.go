@@ -19,10 +19,10 @@ import (
 )
 
 // CriticalPackages are the packages whose outputs must be bit-identical
-// across runs and worker counts: the tensor kernels (including the
-// inference-only quantized kernels, which are deterministic within a
-// build even though they waive the cross-mode bit-identity contract),
-// the neural layers, the training engine, the vocabulary/label builders
+// across runs and worker counts: the tensor kernels and the number-format
+// helpers in tensor/quant (the f16 converters the distilled tables are
+// packed with, and the affine rounding of the model-size study), the
+// neural layers, the training engine, the vocabulary/label builders
 // that fix token ids for the lifetime of a model, the metrics registry
 // whose snapshots are diffed byte-for-byte in the differential tests,
 // and the span tracer whose logical-clock exports must reproduce
@@ -49,8 +49,8 @@ var CriticalPackages = []string{
 	"voyager/internal/serve/quality",
 }
 
-// HotKernelPackages must stay in float32 end to end. The quantized
-// kernels qualify: their only float64 appearances are bit-pattern
+// HotKernelPackages must stay in float32 end to end. The tensor/quant
+// helpers qualify: their only float64 appearances are bit-pattern
 // helpers (math.Float32bits/frombits), never float64 arithmetic. The
 // distill compiler aggregates teacher weights in float32 by the same
 // contract (its float64 use is confined to the Agreement ratio, which

@@ -30,8 +30,10 @@ const (
 	// Version is the current format version; Load rejects any other.
 	Version uint32 = 1
 
-	// maxLog2 bounds header-declared table sizes so a corrupted header
-	// cannot demand an absurd allocation before the checksum is verified.
+	// maxLog2 bounds header-declared table sizes. Load also reserves at
+	// most preallocWords per array before the bytes arrive, so a corrupted
+	// header on a short file cannot demand an absurd allocation before the
+	// checksum fails.
 	maxLog2 = 30
 	maxTopK = 64
 )
@@ -85,21 +87,26 @@ func writeWords(w io.Writer, buf []byte, words []uint64) error {
 	return nil
 }
 
-func readWords(r io.Reader, buf []byte, words []uint64) error {
-	for len(words) > 0 {
-		n := len(words)
-		if n > wordChunk {
-			n = wordChunk
+// preallocWords caps the capacity readWords reserves up front: enough for a
+// default-size table's largest array in one allocation, small enough that a
+// header claiming 2^30 buckets costs at most 1 MiB before its bytes run out.
+const preallocWords = 1 << 17
+
+// readWords reads n words. Past preallocWords the result grows only as
+// bytes arrive, so memory tracks the file rather than the count a header
+// claims.
+func readWords(r io.Reader, buf []byte, n int) ([]uint64, error) {
+	words := make([]uint64, 0, min(n, preallocWords))
+	for len(words) < n {
+		k := min(n-len(words), wordChunk)
+		if _, err := io.ReadFull(r, buf[:8*k]); err != nil {
+			return nil, err
 		}
-		if _, err := io.ReadFull(r, buf[:8*n]); err != nil {
-			return err
+		for i := 0; i < k; i++ {
+			words = append(words, binary.LittleEndian.Uint64(buf[8*i:]))
 		}
-		for i := range words[:n] {
-			words[i] = binary.LittleEndian.Uint64(buf[8*i:])
-		}
-		words = words[n:]
 	}
-	return nil
+	return words, nil
 }
 
 // WriteTo serializes the table in the versioned, checksummed format.
@@ -163,11 +170,16 @@ func Load(r io.Reader) (*Table, error) {
 		return nil, fmt.Errorf("distill: corrupt header: params %+v out of range", prm)
 	}
 	t := &Table{Params: prm, VocabFP: le.Uint64(hdr[32:])}
-	t.main = newSubtable(prm.Log2Buckets, prm.TopK, prm.MaxProbe)
-	t.markov = newSubtable(prm.MarkovLog2, prm.TopK, prm.MaxProbe)
+	t.main = &subtable{log2: prm.Log2Buckets, topK: prm.TopK, maxProbe: prm.MaxProbe}
+	t.markov = &subtable{log2: prm.MarkovLog2, topK: prm.TopK, maxProbe: prm.MaxProbe}
 	buf := make([]byte, 8*wordChunk)
-	for _, words := range [][]uint64{t.main.keys, t.main.slots, t.markov.keys, t.markov.slots} {
-		if err := readWords(fr, buf, words); err != nil {
+	for _, st := range []*subtable{t.main, t.markov} {
+		var err error
+		n := 1 << st.log2
+		if st.keys, err = readWords(fr, buf, n); err == nil {
+			st.slots, err = readWords(fr, buf, n*st.topK)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("distill: short payload: %w", err)
 		}
 	}

@@ -137,3 +137,51 @@ func TestLoadFileMissing(t *testing.T) {
 		t.Fatalf("missing file accepted")
 	}
 }
+
+// fuzzSeedTable is a small hand-built table (no training) whose file seeds
+// FuzzLoadTable.
+func fuzzSeedTable() []byte {
+	prm := Params{HistLen: 2, TopK: 2, Log2Buckets: 3, MarkovLog2: 2, MaxProbe: 4}
+	tab := &Table{Params: prm, VocabFP: 0x5eed}
+	tab.main = newSubtable(prm.Log2Buckets, prm.TopK, prm.MaxProbe)
+	tab.markov = newSubtable(prm.MarkovLog2, prm.TopK, prm.MaxProbe)
+	tab.main.keys[3] = 0xabc3
+	tab.main.slots[6] = packSlot(17, 5, 0.75)
+	tab.markov.keys[1] = 0x11
+	tab.markov.slots[2] = packSlot(2, 60, 0.5)
+	var b bytes.Buffer
+	if _, err := tab.WriteTo(&b); err != nil {
+		panic(err)
+	}
+	return b.Bytes()
+}
+
+// FuzzLoadTable feeds arbitrary bytes to Load, which reads operator-supplied
+// table files. It must never panic, and a file it accepts must serialize
+// back to exactly the bytes it consumed.
+func FuzzLoadTable(f *testing.F) {
+	valid := fuzzSeedTable()
+	f.Add(valid)
+	f.Add(valid[:len(valid)-3]) // truncated checksum
+	f.Add(valid[:45])           // truncated payload
+	badMagic := append([]byte(nil), valid...)
+	badMagic[0] = 'X'
+	f.Add(badMagic)
+	huge := append([]byte(nil), valid...)
+	binary.LittleEndian.PutUint32(huge[12:], maxTopK)
+	binary.LittleEndian.PutUint32(huge[16:], maxLog2) // claims 2^30 buckets
+	f.Add(huge)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tab, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if _, err := tab.WriteTo(&out); err != nil {
+			t.Fatalf("WriteTo of a loaded table: %v", err)
+		}
+		if out.Len() > len(data) || !bytes.Equal(out.Bytes(), data[:out.Len()]) {
+			t.Fatalf("accepted %d-byte file re-serializes to different bytes", out.Len())
+		}
+	})
+}

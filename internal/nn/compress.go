@@ -60,8 +60,7 @@ func (s *ParamSet) PruneMagnitude(frac float32) int {
 // Quantize rounds every parameter to 2^bits linear levels spanning its
 // [min, max] range (per-tensor affine quantization), simulating a
 // bits-per-weight deployment. Zeros stay exactly zero so pruning survives
-// quantization. The rounding itself lives in quant.AffineQuantize, shared
-// with the inference-only quantized-weight formats.
+// quantization. The rounding itself lives in quant.AffineQuantize.
 func (s *ParamSet) Quantize(bits int) {
 	for _, p := range s.list {
 		quant.AffineQuantize(p.W.Data, bits)

@@ -167,11 +167,6 @@ type LSTM struct {
 	Wx         *Param // In×4H
 	Wh         *Param // Hidden×4H
 	B          *Param // 1×4H
-
-	// Unfused routes Step through the node-per-op formulation instead of
-	// the fused tensor.LSTMCell kernel. The two paths are bit-identical;
-	// this is a test hook for the differential suite, not a tuning knob.
-	Unfused bool
 }
 
 // NewLSTM creates an LSTM cell with Glorot weights and forget-gate bias 1
@@ -199,12 +194,11 @@ func (l *LSTM) Params() []*Param { return []*Param{l.Wx, l.Wh, l.B} }
 // gradients into its own buffers (see Param.ShadowClone).
 func (l *LSTM) ShadowClone() *LSTM {
 	return &LSTM{
-		In:      l.In,
-		Hidden:  l.Hidden,
-		Wx:      l.Wx.ShadowClone(),
-		Wh:      l.Wh.ShadowClone(),
-		B:       l.B.ShadowClone(),
-		Unfused: l.Unfused,
+		In:     l.In,
+		Hidden: l.Hidden,
+		Wx:     l.Wx.ShadowClone(),
+		Wh:     l.Wh.ShadowClone(),
+		B:      l.B.ShadowClone(),
 	}
 }
 
@@ -226,35 +220,15 @@ func (l *LSTM) ZeroState(tp *tensor.Tape, batch int) State {
 // Step advances the cell one timestep with input x (batch×In) and the
 // previous state, returning the new state. The gate projection is three tape
 // nodes; the activations, cell update and hidden output are one fused
-// tensor.LSTMCell node (bit-identical to StepUnfused's node chain).
+// tensor.LSTMCell node, bit-identical to the node-per-op formulation that
+// TestLSTMStepFusedMatchesUnfused keeps as its oracle.
 func (l *LSTM) Step(tp *tensor.Tape, x *tensor.Node, s State) State {
-	if l.Unfused {
-		return l.StepUnfused(tp, x, s)
-	}
 	gates := tp.AddBias(
 		tp.Add(tp.MatMul(x, l.Wx.Node(tp)), tp.MatMul(s.H, l.Wh.Node(tp))),
 		l.B.Node(tp),
 	)
 	h, c := tp.LSTMCell(gates, s.C)
 	return State{H: h, C: c}
-}
-
-// StepUnfused is the pre-fusion formulation of Step — 4 SliceCols copies, 4
-// activation nodes and 3 element-wise nodes per call. It is kept as the
-// differential-test oracle for the fused kernel.
-func (l *LSTM) StepUnfused(tp *tensor.Tape, x *tensor.Node, s State) State {
-	gates := tp.AddBias(
-		tp.Add(tp.MatMul(x, l.Wx.Node(tp)), tp.MatMul(s.H, l.Wh.Node(tp))),
-		l.B.Node(tp),
-	)
-	h := l.Hidden
-	i := tp.Sigmoid(tp.SliceCols(gates, 0, h))
-	f := tp.Sigmoid(tp.SliceCols(gates, h, 2*h))
-	g := tp.Tanh(tp.SliceCols(gates, 2*h, 3*h))
-	o := tp.Sigmoid(tp.SliceCols(gates, 3*h, 4*h))
-	c := tp.Add(tp.Mul(f, s.C), tp.Mul(i, g))
-	hOut := tp.Mul(o, tp.Tanh(c))
-	return State{H: hOut, C: c}
 }
 
 // Run unrolls the cell over a sequence of inputs, returning the final state.

@@ -2,7 +2,10 @@ package nn
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -22,12 +25,21 @@ func TestWeightsRoundtrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	src := buildSet(rng)
 	var buf bytes.Buffer
-	if _, err := src.WriteTo(&buf); err != nil {
+	wn, err := src.WriteTo(&buf)
+	if err != nil {
 		t.Fatalf("WriteTo: %v", err)
 	}
+	size := int64(buf.Len())
+	if wn != size {
+		t.Fatalf("WriteTo reported %d bytes, wrote %d", wn, size)
+	}
 	dst := buildSet(rand.New(rand.NewSource(99))) // different init
-	if _, err := dst.ReadFrom(&buf); err != nil {
+	rn, err := dst.ReadFrom(&buf)
+	if err != nil {
 		t.Fatalf("ReadFrom: %v", err)
+	}
+	if rn != size {
+		t.Fatalf("ReadFrom reported %d bytes, file has %d", rn, size)
 	}
 	for i, p := range src.All() {
 		q := dst.All()[i]
@@ -72,4 +84,85 @@ func TestReadFromRejectsBadInput(t *testing.T) {
 	if _, err := s.ReadFrom(bytes.NewReader(trunc)); err == nil {
 		t.Fatalf("truncated file accepted")
 	}
+}
+
+// A file that covers only some of the set's parameters must not load: the
+// rest would silently keep their initial weights.
+func TestReadFromRejectsMissingParam(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	full := buildSet(rng)
+	var subset ParamSet
+	subset.Add(full.All()[:2]...) // layer.w, layer.b; no emb
+	var buf bytes.Buffer
+	if _, err := subset.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	_, err := full.ReadFrom(&buf)
+	if err == nil || !strings.Contains(err.Error(), `"emb"`) {
+		t.Fatalf("subset file: err = %v, want one naming the missing \"emb\"", err)
+	}
+}
+
+// A file that names one parameter twice must not load, even when the count
+// matches the set's size.
+func TestReadFromRejectsDuplicateParam(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	full := buildSet(rng)
+	var dup ParamSet
+	w := full.All()[0]
+	dup.Add(w, w, full.All()[1])
+	var buf bytes.Buffer
+	if _, err := dup.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	_, err := full.ReadFrom(&buf)
+	if err == nil || !strings.Contains(err.Error(), `"layer.w"`) {
+		t.Fatalf("duplicate file: err = %v, want one naming \"layer.w\"", err)
+	}
+}
+
+// FuzzLoadWeights feeds arbitrary bytes to ParamSet.ReadFrom, which reads
+// operator-supplied weight files. It must never panic; a file it accepts
+// must set every parameter, report a byte count within the input, and
+// survive a write/read round trip bit for bit.
+func FuzzLoadWeights(f *testing.F) {
+	var valid bytes.Buffer
+	if _, err := buildSet(rand.New(rand.NewSource(5))).WriteTo(&valid); err != nil {
+		f.Fatal(err)
+	}
+	v := valid.Bytes()
+	f.Add(v)
+	f.Add(v[:len(v)-5]) // truncated data
+	f.Add(append([]byte("VNN0"), v[4:]...))
+	huge := append([]byte(nil), v...)
+	binary.LittleEndian.PutUint32(huge[4:], math.MaxUint32) // oversized count
+	f.Add(huge)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s := buildSet(rand.New(rand.NewSource(6)))
+		n, err := s.ReadFrom(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if n < 0 || n > int64(len(data)) {
+			t.Fatalf("ReadFrom reported %d bytes of a %d-byte input", n, len(data))
+		}
+		var out bytes.Buffer
+		if _, err := s.WriteTo(&out); err != nil {
+			t.Fatalf("WriteTo: %v", err)
+		}
+		if int64(out.Len()) != n {
+			t.Fatalf("re-encoded file is %d bytes, accepted file was %d", out.Len(), n)
+		}
+		back := buildSet(rand.New(rand.NewSource(7)))
+		if _, err := back.ReadFrom(&out); err != nil {
+			t.Fatalf("re-reading an accepted file: %v", err)
+		}
+		for i, p := range s.All() {
+			for j, w := range p.W.Data {
+				if math.Float32bits(w) != math.Float32bits(back.All()[i].W.Data[j]) {
+					t.Fatalf("%s[%d] changed across a round trip", p.Name, j)
+				}
+			}
+		}
+	})
 }

@@ -1,6 +1,9 @@
 package serve
 
 import (
+	"errors"
+	"net"
+	"os"
 	"runtime"
 	"runtime/pprof"
 	"strings"
@@ -86,11 +89,11 @@ func TestConcurrentStreamsUnderContention(t *testing.T) {
 	fixture(t)
 	rec := NewLatencyRecorder(1 << 12)
 	s := startServer(t, Config{
-		Model:       fx.p.Model,
-		Table:       fx.tab,
-		MaxBatch:    8,
-		MaxWait:     100 * time.Microsecond,
-		IdleTimeout: 5 * time.Millisecond, // evict aggressively mid-traffic
+		Model:        fx.p.Model,
+		Table:        fx.tab,
+		MaxBatch:     8,
+		MaxWait:      100 * time.Microsecond,
+		IdleTimeout:  5 * time.Millisecond, // evict aggressively mid-traffic
 		FastLatency:  rec,
 		ModelLatency: NewLatencyRecorder(1 << 12),
 	})
@@ -174,4 +177,98 @@ func TestCloseIsIdempotentAndUnblocksIdleConns(t *testing.T) {
 		t.Fatalf("second Close: %v", err)
 	}
 	_ = cl.Close()
+}
+
+// TestCloseTerminatesWithNeverReadingClient: a client that pipelines
+// requests and never reads the replies fills both socket buffers, so its
+// handler blocks in the response flush. Close must still return within a
+// bound instead of waiting on that write forever. A second, healthy
+// client whose request is in flight when Close starts must still get its
+// answer.
+func TestCloseTerminatesWithNeverReadingClient(t *testing.T) {
+	fixture(t)
+	s, err := New(Config{Model: fx.p.Model, MaxWait: 200 * time.Millisecond})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if err := s.Start("127.0.0.1:0"); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+
+	// Pipeline pings until the client's own writes stall: the server has
+	// stopped reading because its response writes are blocked.
+	hog, err := net.Dial("tcp", s.Addr().String())
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer func() { _ = hog.Close() }()
+	var burst []byte
+	for i := 0; i < 4096; i++ {
+		burst = EncodeRequest(burst, Request{Op: OpPing})
+	}
+	stallBy := time.Now().Add(30 * time.Second)
+	for {
+		if time.Now().After(stallBy) {
+			t.Fatal("client writes never stalled")
+		}
+		_ = hog.SetWriteDeadline(time.Now().Add(200 * time.Millisecond))
+		if _, err := hog.Write(burst); err != nil {
+			if errors.Is(err, os.ErrDeadlineExceeded) {
+				break
+			}
+			t.Fatalf("pipelining pings: %v", err)
+		}
+	}
+
+	// The healthy client's model-tier request is read (its session exists)
+	// and held by the batcher's MaxWait when Close starts.
+	healthy, err := Dial(s.Addr().String())
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer func() { _ = healthy.Close() }()
+	a := fx.tr.Accesses[0]
+	type result struct {
+		cands []Candidate
+		err   error
+	}
+	got := make(chan result, 1)
+	go func() {
+		resp, err := healthy.Predict(1, a.PC, a.Addr, false)
+		if err != nil {
+			got <- result{err: err}
+			return
+		}
+		got <- result{cands: append([]Candidate(nil), resp.Cands...)}
+	}()
+	for s.Sessions() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+
+	done := make(chan error, 1)
+	start := time.Now()
+	go func() { done <- s.Close() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	case <-time.After(drainWriteGrace + 3*time.Second):
+		_ = hog.Close() // unblock the handler so Close can finish
+		<-done
+		t.Fatalf("Close still blocked %v after it started, behind a client that never reads", time.Since(start))
+	}
+	r := <-got
+	if r.err != nil {
+		t.Fatalf("in-flight healthy request: %v", r.err)
+	}
+	want := wantResponse(0)
+	if len(r.cands) != len(want) {
+		t.Fatalf("in-flight healthy request: %d candidates, want %d", len(r.cands), len(want))
+	}
+	for i := range want {
+		if r.cands[i] != want[i] {
+			t.Fatalf("in-flight healthy request: candidate %d = %+v, want %+v", i, r.cands[i], want[i])
+		}
+	}
 }

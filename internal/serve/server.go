@@ -15,11 +15,13 @@
 //
 // Shutdown protocol (the waitleak contract): Close stops the listener, sets
 // an immediate read deadline on every open connection so idle handlers
-// unblock without severing in-flight responses, waits for all handlers to
-// exit, then closes the admission queue — the batcher answers everything
-// still queued before exiting — and finally stops the eviction janitor and
-// joins both loops. Every goroutine the server starts is joined by Close;
-// the 100x start/stop leak test holds the daemon to that.
+// unblock without severing in-flight responses, and a write deadline
+// drainWriteGrace out so a handler blocked flushing to a client that never
+// reads gives up instead of stalling the drain. It then waits for all
+// handlers to exit, closes the admission queue — the batcher answers
+// everything still queued before exiting — and finally stops the eviction
+// janitor and joins both loops. Every goroutine the server starts is joined
+// by Close; the 100x start/stop leak test holds the daemon to that.
 package serve
 
 import (
@@ -267,6 +269,13 @@ func (s *Server) janitor() {
 	}
 }
 
+// drainWriteGrace is how long Close lets in-flight responses finish writing
+// before it fails the write. Only a peer that stopped reading should reach
+// it. It stays well under the few seconds a supervisor waits between
+// SIGTERM and SIGKILL, so a stuck peer cannot turn a graceful drain into a
+// kill.
+const drainWriteGrace = time.Second
+
 // Close shuts the server down gracefully: no new connections, in-flight
 // requests answered, queue drained, every goroutine joined. Safe to call
 // once per Serve; returns the listener close error, if any.
@@ -284,11 +293,15 @@ func (s *Server) Close() error {
 	err := lis.Close() // unblocks Accept
 
 	// Unblock handlers parked in a frame read. A past read deadline fails
-	// the *read* immediately but leaves writes alone, so a handler that is
-	// mid-request still sends its response before exiting its loop.
+	// the *read* immediately, while the write deadline leaves a handler that
+	// is mid-request drainWriteGrace to send its response before exiting its
+	// loop — and bounds a handler blocked flushing to a peer that never reads.
 	s.mu.Lock()
+	now := time.Now()
 	for _, id := range sortkeys.Sorted(s.conns) {
-		_ = s.conns[id].SetReadDeadline(time.Now())
+		c := s.conns[id]
+		_ = c.SetReadDeadline(now)
+		_ = c.SetWriteDeadline(now.Add(drainWriteGrace))
 	}
 	s.mu.Unlock()
 

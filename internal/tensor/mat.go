@@ -175,15 +175,13 @@ const parallelThreshold = 1 << 16
 // unblocked ones — a requirement for reproducible training.
 const kernelKTile = 64
 
-// Kernel numerics contract: the exact kernels below accumulate every output
+// Kernel numerics contract: the kernels below accumulate every output
 // element in strictly ascending inner-index order (ascending k for a·b and
 // a·bᵀ, ascending i for aᵀ·b), one float32 rounding per add, with no
 // value-dependent branches. Zero inputs are NOT skipped, so IEEE semantics
 // hold for non-finite and signed-zero inputs too: 0·Inf contributes NaN and
 // -0 terms keep their sign, exactly like a naive triple loop (the former
 // av == 0 skip branches diverged on such inputs; see TestMatMulNonFinite).
-// The opt-in fast-math kernels (fastmath.go) relax only the association
-// order, never the term set.
 
 // MatMul computes dst = a·b, allocating dst when nil. a is r×k, b is k×c.
 //
@@ -209,9 +207,6 @@ func MatMul(dst, a, b *Mat) *Mat {
 // rows of b), parallelized across rows of a when the work is large enough.
 func matMulAcc(dst, a, b *Mat) {
 	kern := matMulAccRange
-	if FastMathEnabled() {
-		kern = matMulAccFastRange
-	}
 	work := a.Rows * a.Cols * b.Cols
 	if work < parallelThreshold {
 		kern(dst, a, b, 0, a.Rows)
@@ -287,9 +282,6 @@ func MatMulATransB(dst, a, b *Mat) *Mat {
 	// dst[k][j] += a[i][k] * b[i][j]; parallelize over columns of a (rows of
 	// dst) so goroutines never write the same dst row.
 	kern := matMulATransBRange
-	if FastMathEnabled() {
-		kern = matMulATransBFastRange
-	}
 	work := a.Rows * a.Cols * b.Cols
 	if work < parallelThreshold {
 		kern(dst, a, b, 0, a.Cols)
@@ -370,9 +362,6 @@ func MatMulABTrans(dst, a, b *Mat) *Mat {
 		dst.Zero()
 	}
 	kern := matMulABTransRange
-	if FastMathEnabled() {
-		kern = matMulABTransFastRange
-	}
 	work := a.Rows * a.Cols * b.Rows
 	if work < parallelThreshold {
 		kern(dst, a, b, 0, a.Rows)
@@ -396,9 +385,6 @@ func MatMulABTransAcc(dst, a, b *Mat) {
 		panic("tensor: MatMulABTransAcc dst shape mismatch")
 	}
 	kern := matMulABTransRange
-	if FastMathEnabled() {
-		kern = matMulABTransFastRange
-	}
 	work := a.Rows * a.Cols * b.Rows
 	if work < parallelThreshold {
 		kern(dst, a, b, 0, a.Rows)
@@ -407,10 +393,16 @@ func MatMulABTransAcc(dst, a, b *Mat) {
 	parallelKernel(a.Rows, kern, dst, a, b)
 }
 
-// tileScratch recycles the per-goroutine accumulation tiles used by
-// MatMulATransBAcc. The pool holds *[]float32 containers (not bare slices)
-// so Get/Put stay allocation-free in steady state.
-var tileScratch = sync.Pool{New: func() any { s := []float32(nil); return &s }}
+// tileScratch is the free list of accumulation tiles MatMulATransBAcc
+// checks out, one per running kernel stripe. It is a locked stack rather
+// than a sync.Pool because a pool may drop what it holds — on every GC, and
+// at random under the race detector — and each drop costs a fresh tile,
+// breaking the kernel's zero-allocation budget. It grows to the largest
+// number of stripes that ever ran at once and keeps those tiles.
+var tileScratch struct {
+	mu   sync.Mutex
+	free [][]float32
+}
 
 // MatMulATransBAcc computes dst += aᵀ·b in place — the weight-gradient
 // update dW += xᵀ·dy. The ATransB kernel accumulates into memory across input
@@ -429,9 +421,6 @@ func MatMulATransBAcc(dst, a, b *Mat) {
 		panic("tensor: MatMulATransBAcc dst shape mismatch")
 	}
 	kern := matMulATransBAccRange
-	if FastMathEnabled() {
-		kern = matMulATransBAccFastRange
-	}
 	work := a.Rows * a.Cols * b.Cols
 	if work < parallelThreshold {
 		kern(dst, a, b, 0, a.Cols)
@@ -445,7 +434,7 @@ func matMulATransBAccRange(dst, a, b *Mat, lo, hi int) {
 	if n == 0 {
 		return
 	}
-	sp, scratch := tileScratchFor(hi-lo, n)
+	scratch := tileScratchFor(hi-lo, n)
 	rows := a.Rows
 	for t0 := lo; t0 < hi; t0 += kernelKTile {
 		t1 := t0 + kernelKTile
@@ -499,28 +488,34 @@ func matMulATransBAccRange(dst, a, b *Mat, lo, hi int) {
 			}
 		}
 	}
-	tileScratchDone(sp, scratch)
+	tileScratchDone(scratch)
 }
 
 // tileScratchFor checks out a zero-allocation scratch buffer big enough for
 // a kernelKTile×n accumulation tile over a [lo, hi) stripe of tileRows rows.
-func tileScratchFor(stripe, n int) (*[]float32, []float32) {
+func tileScratchFor(stripe, n int) []float32 {
 	tileRows := kernelKTile
 	if stripe < tileRows {
 		tileRows = stripe
 	}
-	sp := tileScratch.Get().(*[]float32)
-	scratch := *sp
+	var scratch []float32
+	tileScratch.mu.Lock()
+	if k := len(tileScratch.free); k > 0 {
+		scratch = tileScratch.free[k-1]
+		tileScratch.free = tileScratch.free[:k-1]
+	}
+	tileScratch.mu.Unlock()
 	if cap(scratch) < tileRows*n {
 		scratch = make([]float32, tileRows*n)
 	}
-	return sp, scratch
+	return scratch
 }
 
 // tileScratchDone returns a buffer checked out by tileScratchFor.
-func tileScratchDone(sp *[]float32, scratch []float32) {
-	*sp = scratch
-	tileScratch.Put(sp)
+func tileScratchDone(scratch []float32) {
+	tileScratch.mu.Lock()
+	tileScratch.free = append(tileScratch.free, scratch)
+	tileScratch.mu.Unlock()
 }
 
 // matMulABTransRange computes four dot products per pass of arow (a 1×4

@@ -249,3 +249,194 @@ func BenchmarkMatMulATransB128(b *testing.B) {
 		MatMulATransB(dst, x, y)
 	}
 }
+
+// naiveMatMulATransB / naiveMatMulABTrans are scalar references whose
+// per-element summation order (ascending i / ascending k, one float32
+// rounding per add) matches the contract the kernels document — so the
+// kernels must match them BITWISE, not just within tolerance.
+func naiveMatMulATransB(a, b *Mat) *Mat {
+	out := NewMat(a.Cols, b.Cols)
+	for k := 0; k < a.Cols; k++ {
+		for j := 0; j < b.Cols; j++ {
+			var s float32
+			for i := 0; i < a.Rows; i++ {
+				s += a.At(i, k) * b.At(i, j)
+			}
+			out.Set(k, j, s)
+		}
+	}
+	return out
+}
+
+func naiveMatMulABTrans(a, b *Mat) *Mat {
+	out := NewMat(a.Rows, b.Rows)
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < b.Rows; j++ {
+			var s float32
+			for k := 0; k < a.Cols; k++ {
+				s += a.At(i, k) * b.At(j, k)
+			}
+			out.Set(i, j, s)
+		}
+	}
+	return out
+}
+
+// matsBitIdentical compares by bit pattern, so NaNs compare equal to
+// themselves and +0 differs from -0 — exactly the cases a tolerance
+// comparison would paper over.
+func matsBitIdentical(t *testing.T, name string, got, want *Mat) {
+	t.Helper()
+	if !got.SameShape(want) {
+		t.Fatalf("%s: shape %dx%d != %dx%d", name, got.Rows, got.Cols, want.Rows, want.Cols)
+	}
+	for i := range got.Data {
+		if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+			t.Fatalf("%s: element %d: got %v (%#08x) want %v (%#08x)",
+				name, i, got.Data[i], math.Float32bits(got.Data[i]),
+				want.Data[i], math.Float32bits(want.Data[i]))
+		}
+	}
+}
+
+// bitIdentityShapes crosses parallelThreshold in both directions: 20·15·11
+// stays serial, 130·70·90 dispatches to the worker pool — the blocked,
+// unrolled, parallel kernels must stay bit-identical to the scalar loops
+// either way.
+var bitIdentityShapes = [][3]int{{1, 1, 1}, {3, 5, 2}, {20, 15, 11}, {64, 48, 80}, {130, 70, 90}}
+
+// TestMatMulExactBitIdentity pins the kernel numerics contract (mat.go):
+// every kernel reproduces the scalar ascending-order reference bit for bit,
+// at serial and parallel sizes, including the Acc variants' tmp-then-add
+// equivalence.
+func TestMatMulExactBitIdentity(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, s := range bitIdentityShapes {
+		r, k, c := s[0], s[1], s[2]
+		a := randMat(rng, r, k)
+		b := randMat(rng, k, c)
+		matsBitIdentical(t, "MatMul", MatMul(nil, a, b), naiveMatMul(a, b))
+
+		at := randMat(rng, r, k) // aᵀ·b: both r rows
+		bt := randMat(rng, r, c)
+		matsBitIdentical(t, "MatMulATransB", MatMulATransB(nil, at, bt), naiveMatMulATransB(at, bt))
+
+		ab := randMat(rng, r, k) // a·bᵀ: shared k cols
+		bb := randMat(rng, c, k)
+		matsBitIdentical(t, "MatMulABTrans", MatMulABTrans(nil, ab, bb), naiveMatMulABTrans(ab, bb))
+
+		// Acc variants: dst += product must equal tmp = product; dst += tmp.
+		base := randMat(rng, r, c)
+		accWant := base.Clone()
+		accWant.AddInPlace(naiveMatMulABTrans(ab, bb))
+		accGot := base.Clone()
+		MatMulABTransAcc(accGot, ab, bb)
+		matsBitIdentical(t, "MatMulABTransAcc", accGot, accWant)
+
+		base2 := randMat(rng, k, c)
+		accWant2 := base2.Clone()
+		accWant2.AddInPlace(naiveMatMulATransB(at, bt))
+		accGot2 := base2.Clone()
+		MatMulATransBAcc(accGot2, at, bt)
+		matsBitIdentical(t, "MatMulATransBAcc", accGot2, accWant2)
+	}
+}
+
+// TestMatMulNonFinite is the regression test for the former av == 0 skip
+// branches: skipping a zero a-element suppressed the NaN from 0·Inf and the
+// sign flip from accumulating -0, silently diverging from IEEE semantics.
+// The branch-free kernels must match the naive loops bitwise even when the
+// inputs carry Inf, NaN, and signed zeros.
+func TestMatMulNonFinite(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	inf := float32(math.Inf(1))
+	nan := float32(math.NaN())
+	negZero := float32(math.Copysign(0, -1))
+	for _, s := range [][3]int{{6, 9, 5}, {130, 70, 90}} {
+		r, k, c := s[0], s[1], s[2]
+		a := randMat(rng, r, k)
+		b := randMat(rng, k, c)
+		// Zero a-elements paired with non-finite b-elements: a zero-skip
+		// kernel would drop the 0·Inf = NaN term entirely.
+		a.Set(0, 0, 0)
+		b.Set(0, 0, inf)
+		a.Set(1, 2, 0)
+		b.Set(2, 1, nan)
+		// An all-zero row with mixed zero signs: -0 + +0 = +0 but
+		// -0 + -0 = -0, so skipping "zero work" changes the result's sign.
+		for j := 0; j < k; j++ {
+			a.Set(2, j, negZero)
+		}
+		b.Set(3, 2, negZero)
+		matsBitIdentical(t, "MatMul", MatMul(nil, a, b), naiveMatMul(a, b))
+
+		bt := randMat(rng, r, c)
+		bt.Set(0, 0, inf)
+		matsBitIdentical(t, "MatMulATransB", MatMulATransB(nil, a, bt), naiveMatMulATransB(a, bt))
+
+		bb := randMat(rng, c, k)
+		bb.Set(0, 0, inf)
+		bb.Set(1, 2, nan)
+		matsBitIdentical(t, "MatMulABTrans", MatMulABTrans(nil, a, bb), naiveMatMulABTrans(a, bb))
+	}
+}
+
+// TestMatMulKernelsAllocFree pins the steady-state allocation budget of
+// every matmul entry point at zero, in both the serial (below
+// parallelThreshold) and pool-dispatched (above it) regimes. The former
+// parallelRows closure cost 1 alloc / 32 B on every call — this is the
+// regression test for that fix (see chunkTask in pool.go).
+func TestMatMulKernelsAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for _, size := range []struct {
+		name    string
+		r, k, c int
+	}{{"serial_24", 24, 24, 24}, {"parallel_128", 128, 128, 128}} {
+		a := randMat(rng, size.r, size.k)
+		b := randMat(rng, size.k, size.c)
+		dst := NewMat(size.r, size.c)
+		at := randMat(rng, size.r, size.k)
+		bt := randMat(rng, size.r, size.c)
+		dstT := NewMat(size.k, size.c)
+		bb := randMat(rng, size.c, size.k)
+		dstB := NewMat(size.r, size.c)
+		run := func(name string, f func()) {
+			t.Helper()
+			if n := testing.AllocsPerRun(10, f); n != 0 {
+				t.Errorf("%s/%s: %v allocs/op, want 0", size.name, name, n)
+			}
+		}
+		run("MatMul", func() { MatMul(dst, a, b) })
+		run("MatMulATransB", func() { MatMulATransB(dstT, at, bt) })
+		run("MatMulABTrans", func() { MatMulABTrans(dstB, a, bb) })
+		run("MatMulATransBAcc", func() { MatMulATransBAcc(dstT, at, bt) })
+		run("MatMulABTransAcc", func() { MatMulABTransAcc(dstB, a, bb) })
+	}
+}
+
+func benchMatMul256(b *testing.B, f func(dst, x, y *Mat)) {
+	rng := rand.New(rand.NewSource(9))
+	x := randMat(rng, 256, 256)
+	y := randMat(rng, 256, 256)
+	dst := NewMat(256, 256)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f(dst, x, y)
+	}
+}
+
+func BenchmarkMatMul256(b *testing.B) {
+	b.ReportAllocs()
+	benchMatMul256(b, func(dst, x, y *Mat) { MatMul(dst, x, y) })
+}
+
+func BenchmarkMatMulATransB256(b *testing.B) {
+	b.ReportAllocs()
+	benchMatMul256(b, func(dst, x, y *Mat) { MatMulATransB(dst, x, y) })
+}
+
+func BenchmarkMatMulABTrans256(b *testing.B) {
+	b.ReportAllocs()
+	benchMatMul256(b, func(dst, x, y *Mat) { MatMulABTrans(dst, x, y) })
+}

@@ -99,12 +99,6 @@ type Config struct {
 	// trigger (§5.2 "Higher Degree Prefetching").
 	Degree int
 
-	// UnfusedLSTM routes both LSTMs through the node-per-op Step formulation
-	// instead of the fused tensor.LSTMCell kernel. The two paths are
-	// bit-identical; this is a test/debug hook for the differential suite,
-	// not a tuning knob.
-	UnfusedLSTM bool
-
 	// Metrics is the optional observability registry. nil (the default)
 	// disables instrumentation entirely. Enabling it never changes training:
 	// instruments only observe values the run computes anyway — counters,
@@ -126,17 +120,6 @@ type Config struct {
 	// confidence rank) for downstream outcome attribution. Purely
 	// observational like Metrics and Trace.
 	Provenance *tracing.DecisionLog `json:"-"`
-
-	// QuantizedPredict routes PredictBatch's head matmuls through int8
-	// weight-quantized shadows of the page/offset heads (per-column
-	// symmetric scales, fp32 activations; see nn.QuantizedLinear). The
-	// shadows requantize lazily — TrainBatch marks them stale and the next
-	// PredictBatch refreshes them once before sharding — so steady-state
-	// inference pays only the int8 kernels. Training is untouched and
-	// prediction scores shift by quantization noise (bounded by the
-	// differential tests in quant_test.go), so leave this off for the
-	// golden/determinism paths.
-	QuantizedPredict bool
 
 	// Workers is the data-parallel width of TrainBatch/PredictBatch: each
 	// minibatch is cut into Workers contiguous shards that run forward and

@@ -111,16 +111,3 @@ func (m *Model) PredictTokenBatch(b *TokenBatch, degree int) [][]Candidate {
 	}
 	return m.PredictBatch(seqs, degree)
 }
-
-// SetQuantizedPredict toggles the int8 quantized predict path on an
-// already-constructed model (otherwise Config.QuantizedPredict is fixed at
-// construction). The next PredictBatch requantizes the head shadows from
-// the current fp32 weights, so toggling is safe at any point between
-// batches; existing replicas are switched along with the master.
-func (m *Model) SetQuantizedPredict(on bool) {
-	m.cfg.QuantizedPredict = on
-	m.qDirty = true
-	for _, r := range m.replicas {
-		r.cfg.QuantizedPredict = on
-	}
-}

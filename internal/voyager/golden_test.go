@@ -26,7 +26,7 @@ const goldenPredHash = uint64(0x841f3e64aba880a3)
 // weights. reg optionally attaches the observability registry, tracer the
 // span tracer, and prov the provenance log — none of which may change any
 // of the three outputs.
-func goldenRun(t *testing.T, workers int, unfused bool, reg *metrics.Registry,
+func goldenRun(t *testing.T, workers int, reg *metrics.Registry,
 	tracer *tracing.Tracer, prov *tracing.DecisionLog) ([]float32, uint64, uint64) {
 	t.Helper()
 	cycle := []uint64{0x10<<6 | 5, 0x22<<6 | 61, 0x15<<6 | 0, 0x9<<6 | 33,
@@ -35,13 +35,12 @@ func goldenRun(t *testing.T, workers int, unfused bool, reg *metrics.Registry,
 	cfg := FastConfig()
 	cfg.EpochAccesses = 1000
 	cfg.Workers = workers
-	cfg.UnfusedLSTM = unfused
 	cfg.Metrics = reg
 	cfg.Trace = tracer
 	cfg.Provenance = prov
 	p, err := Train(tr, cfg)
 	if err != nil {
-		t.Fatalf("workers=%d unfused=%v: %v", workers, unfused, err)
+		t.Fatalf("workers=%d: %v", workers, err)
 	}
 	var h uint64 = 1469598103934665603
 	for _, preds := range p.Predictions() {
@@ -59,27 +58,26 @@ func goldenRun(t *testing.T, workers int, unfused bool, reg *metrics.Registry,
 
 // TestGoldenEquivalenceFixedSeed locks end-to-end training to the values the
 // pre-optimization implementation produced: epoch losses and the FNV hash of
-// every prediction must match bit-for-bit at 1 and 4 workers, on both the
-// fused and the unfused LSTM path.
+// every prediction must match bit-for-bit at 1 and 4 workers. The fused LSTM
+// cell is held to the node-per-op formulation one layer down, by
+// nn.TestLSTMStepFusedMatchesUnfused.
 func TestGoldenEquivalenceFixedSeed(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		for _, unfused := range []bool{false, true} {
-			losses, h, _ := goldenRun(t, workers, unfused, nil, nil, nil)
-			want := goldenLosses[workers]
-			if len(losses) != len(want) {
-				t.Fatalf("workers=%d unfused=%v: %d epochs, want %d (losses %v)",
-					workers, unfused, len(losses), len(want), losses)
+		losses, h, _ := goldenRun(t, workers, nil, nil, nil)
+		want := goldenLosses[workers]
+		if len(losses) != len(want) {
+			t.Fatalf("workers=%d: %d epochs, want %d (losses %v)",
+				workers, len(losses), len(want), losses)
+		}
+		for i := range want {
+			if losses[i] != want[i] {
+				t.Fatalf("workers=%d: epoch %d loss %v, want %v (bit-identical)",
+					workers, i, losses[i], want[i])
 			}
-			for i := range want {
-				if losses[i] != want[i] {
-					t.Fatalf("workers=%d unfused=%v: epoch %d loss %v, want %v (bit-identical)",
-						workers, unfused, i, losses[i], want[i])
-				}
-			}
-			if h != goldenPredHash {
-				t.Fatalf("workers=%d unfused=%v: prediction hash %#x, want %#x",
-					workers, unfused, h, goldenPredHash)
-			}
+		}
+		if h != goldenPredHash {
+			t.Fatalf("workers=%d: prediction hash %#x, want %#x",
+				workers, h, goldenPredHash)
 		}
 	}
 }
@@ -99,9 +97,9 @@ func TestGoldenMetricsDifferential(t *testing.T) {
 	}
 	totals := map[int]map[string]uint64{}
 	for _, workers := range []int{1, 4} {
-		offLosses, offPred, offWeights := goldenRun(t, workers, false, nil, nil, nil)
+		offLosses, offPred, offWeights := goldenRun(t, workers, nil, nil, nil)
 		reg := metrics.NewRegistry()
-		onLosses, onPred, onWeights := goldenRun(t, workers, false, reg, nil, nil)
+		onLosses, onPred, onWeights := goldenRun(t, workers, reg, nil, nil)
 
 		if len(onLosses) != len(offLosses) {
 			t.Fatalf("workers=%d: %d epochs with metrics, %d without", workers, len(onLosses), len(offLosses))
@@ -159,12 +157,12 @@ func TestGoldenMetricsDifferential(t *testing.T) {
 // and every recorded decision must carry a stream-valid trigger index.
 func TestGoldenTraceDifferential(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		offLosses, offPred, offWeights := goldenRun(t, workers, false, nil, nil, nil)
+		offLosses, offPred, offWeights := goldenRun(t, workers, nil, nil, nil)
 
 		traced := func() ([]byte, *tracing.DecisionLog, []float32, uint64, uint64) {
 			tracer := tracing.New(tracing.Options{Logical: true})
 			prov := tracing.NewDecisionLog("golden")
-			losses, pred, weights := goldenRun(t, workers, false, nil, tracer, prov)
+			losses, pred, weights := goldenRun(t, workers, nil, tracer, prov)
 			return tracer.Export(), prov, losses, pred, weights
 		}
 		export1, prov, onLosses, onPred, onWeights := traced()

@@ -3,8 +3,9 @@
 # training engine and the serving daemon: vet, the full test suite (with
 # coverage gates), the race detector over the packages that share state
 # across goroutines (including prefetchd's session/batcher machinery), and
-# bounded fuzz runs of the binary trace decoder, the metrics snapshot
-# parser, the int8/f16 quantizers the distilled tables are packed with,
+# bounded fuzz runs of every untrusted-input decoder: the binary trace
+# reader, the metrics snapshot parser, the f16 converters the distilled
+# tables are packed with, the weights-file and distilled-table loaders,
 # and the daemon's wire-protocol request decoder.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -56,11 +57,12 @@ for gate in internal/metrics:90 internal/tracing:90 internal/serve:85 internal/s
 done
 
 # Bench smoke: the newest BENCH_pr<N>.json must not record a serial matmul
-# slowdown (the PR-5 regression class) or a >10% predict-path slowdown
-# (serial fp32 or int8-quantized inference) against its baseline chain. This
-# parses the committed report (fast) rather than re-benching; regenerate
-# with `go run ./cmd/experiments -bench -workers -1` after kernel changes.
-echo "== bench smoke (matmul_256 + predict paths vs baseline chain)"
+# or serial fp32 predict slowdown past its gate (experiments.benchGates)
+# against its baseline chain, nor a quality-telemetry overhead past its
+# bound. This parses the committed report (fast) rather than re-benching;
+# regenerate with `go run ./cmd/experiments -bench -workers -1` after
+# kernel changes.
+echo "== bench smoke (matmul_256 + predict_batch_serial vs baseline chain)"
 go run ./cmd/experiments -bench-check
 
 echo "== allocation regression (tape arena steady state, metrics + tracing hot paths)"
@@ -83,11 +85,12 @@ go test -race -run 'Parallel|Deterministic|Workers|LearnsCycleWith' ./internal/v
 echo "== go test -race (serve: contention, leaks, batching invariance)"
 go test -race -run 'Concurrent|StartStop|Invariance|CloseIsIdempotent' ./internal/serve/
 
-echo "== fuzz trace.Read + metrics.ParseSnapshot + quant converters + serve decoder (bounded)"
+echo "== fuzz trace.Read + metrics.ParseSnapshot + f16 converters + weights/table loaders + serve decoder (bounded)"
 go test -run=NONE -fuzz=FuzzRead -fuzztime=10s ./internal/trace/
 go test -run=NONE -fuzz=FuzzParseSnapshot -fuzztime=10s ./internal/metrics/
-go test -run=NONE -fuzz='^FuzzQ8Quantize$' -fuzztime=10s ./internal/tensor/quant/
 go test -run=NONE -fuzz='^FuzzF16RoundTrip$' -fuzztime=10s ./internal/tensor/quant/
+go test -run=NONE -fuzz='^FuzzLoadWeights$' -fuzztime=10s ./internal/nn/
+go test -run=NONE -fuzz='^FuzzLoadTable$' -fuzztime=10s ./internal/distill/
 go test -run=NONE -fuzz='^FuzzDecodeRequest$' -fuzztime=10s ./internal/serve/
 
 # A traced end-to-end run: the exported timeline must round-trip through the
