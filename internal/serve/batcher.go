@@ -2,15 +2,15 @@
 // buffered channel; one batcher goroutine coalesces them into PredictBatch
 // calls.
 //
-// Batching policy: the batcher blocks for the first request, then fills the
-// batch from the queue until it holds MaxBatch rows or MaxWait has elapsed
-// since the first row was taken (MaxWait 0 = greedy: take whatever is
-// already buffered and run immediately). Under saturation the timer never
-// fires — the queue refills faster than inference drains it and batches run
-// full; under light load a lone request pays at most MaxWait of added
-// latency. Because inference is row-independent, the policy affects only
+// Batching policy (self-clocking): the batcher blocks for the first
+// request, takes whatever else is already buffered up to MaxBatch rows, and
+// runs at once. Requests that arrive while a batch runs queue up and form
+// the next batch, so under load batches fill at the rate inference drains
+// them, and a lone request never waits on a timer for company that is not
+// coming. Because inference is row-independent, the policy affects only
 // latency, never results (the batching-invariance test drives the same
-// streams through disparate MaxBatch/MaxWait settings and byte-compares).
+// streams through disparate MaxBatch settings and forced backlogs and
+// byte-compares).
 package serve
 
 import (
@@ -52,49 +52,25 @@ func (s *Server) batchLoop() {
 	pcs := make([]int32, s.seqLen)
 	pages := make([]int32, s.seqLen)
 	offs := make([]int32, s.seqLen)
-	var timer *time.Timer
 	for {
 		p, ok := <-s.queue
 		if !ok {
 			return
 		}
+		if s.beforeBatch != nil {
+			s.beforeBatch()
+		}
 		batch = append(batch[:0], p)
-		if s.cfg.MaxWait > 0 {
-			if timer == nil {
-				timer = time.NewTimer(s.cfg.MaxWait)
-			} else {
-				timer.Reset(s.cfg.MaxWait)
-			}
-		collect:
-			for len(batch) < s.cfg.MaxBatch {
-				select {
-				case q, ok := <-s.queue:
-					if !ok {
-						break collect // drained; run what we have, exit next
-					}
-					batch = append(batch, q)
-				case <-timer.C:
-					break collect
+	drain:
+		for len(batch) < s.cfg.MaxBatch {
+			select {
+			case q, ok := <-s.queue:
+				if !ok {
+					break drain // drained; run what we have, exit next
 				}
-			}
-			if !timer.Stop() {
-				select { // drain a fired timer so Reset starts clean
-				case <-timer.C:
-				default:
-				}
-			}
-		} else {
-		greedy:
-			for len(batch) < s.cfg.MaxBatch {
-				select {
-				case q, ok := <-s.queue:
-					if !ok {
-						break greedy
-					}
-					batch = append(batch, q)
-				default:
-					break greedy
-				}
+				batch = append(batch, q)
+			default:
+				break drain
 			}
 		}
 		s.runBatch(batch, tb, pcs, pages, offs)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"voyager/internal/prefetch/distilled"
 )
@@ -12,9 +11,19 @@ import (
 // startServer spins up a server on loopback and returns it with a cleanup.
 func startServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
+	return startHeld(t, cfg, nil)
+}
+
+// startHeld is startServer with hold installed as the batcher's beforeBatch
+// hook (nil installs none). hold gets the server so it can watch the queue.
+func startHeld(t *testing.T, cfg Config, hold func(*Server)) *Server {
+	t.Helper()
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
+	}
+	if hold != nil {
+		s.beforeBatch = func() { hold(s) }
 	}
 	if err := s.Start("127.0.0.1:0"); err != nil {
 		t.Fatalf("Start: %v", err)
@@ -74,7 +83,6 @@ func TestServingGoldenDifferential(t *testing.T) {
 			s := startServer(t, Config{
 				Model:    model,
 				MaxBatch: 16,
-				MaxWait:  200 * time.Microsecond,
 			})
 			const streams = 4
 			errs := make([]error, streams)

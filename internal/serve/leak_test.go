@@ -27,7 +27,6 @@ func TestStartStopNoGoroutineLeak(t *testing.T) {
 			Model:       fx.p.Model,
 			Table:       fx.tab,
 			MaxBatch:    8,
-			MaxWait:     50 * time.Microsecond,
 			IdleTimeout: 10 * time.Millisecond, // janitor ticks during the cycle
 		})
 		if err != nil {
@@ -92,7 +91,6 @@ func TestConcurrentStreamsUnderContention(t *testing.T) {
 		Model:        fx.p.Model,
 		Table:        fx.tab,
 		MaxBatch:     8,
-		MaxWait:      100 * time.Microsecond,
 		IdleTimeout:  5 * time.Millisecond, // evict aggressively mid-traffic
 		FastLatency:  rec,
 		ModelLatency: NewLatencyRecorder(1 << 12),
@@ -187,13 +185,14 @@ func TestCloseIsIdempotentAndUnblocksIdleConns(t *testing.T) {
 // answer.
 func TestCloseTerminatesWithNeverReadingClient(t *testing.T) {
 	fixture(t)
-	s, err := New(Config{Model: fx.p.Model, MaxWait: 200 * time.Millisecond})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if err := s.Start("127.0.0.1:0"); err != nil {
-		t.Fatalf("Start: %v", err)
-	}
+	// The batcher holds its only batch, the healthy request below, until
+	// Close is under way.
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	s := startHeld(t, Config{Model: fx.p.Model}, func(*Server) {
+		close(entered)
+		<-release
+	})
 
 	// Pipeline pings until the client's own writes stall: the server has
 	// stopped reading because its response writes are blocked.
@@ -220,8 +219,8 @@ func TestCloseTerminatesWithNeverReadingClient(t *testing.T) {
 		}
 	}
 
-	// The healthy client's model-tier request is read (its session exists)
-	// and held by the batcher's MaxWait when Close starts.
+	// The healthy client's model-tier request is read and held in the
+	// batcher when Close starts.
 	healthy, err := Dial(s.Addr().String())
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
@@ -241,13 +240,15 @@ func TestCloseTerminatesWithNeverReadingClient(t *testing.T) {
 		}
 		got <- result{cands: append([]Candidate(nil), resp.Cands...)}
 	}()
-	for s.Sessions() == 0 {
-		time.Sleep(time.Millisecond)
-	}
+	<-entered
 
 	done := make(chan error, 1)
 	start := time.Now()
 	go func() { done <- s.Close() }()
+	for !s.closing.Load() {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
 	select {
 	case err := <-done:
 		if err != nil {

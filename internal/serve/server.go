@@ -8,10 +8,11 @@
 // session (session.go). Fast-tier requests are answered inline — a hash
 // probe of the distilled table, no queuing. Model-tier requests are posted
 // to an admission queue where a single batcher goroutine coalesces them into
-// PredictBatch calls (batcher.go), bounded by MaxBatch rows and MaxWait of
-// queue delay; the model's forward pass is row-independent at inference, so
-// coalescing never changes any stream's answers (the batching-invariance
-// and golden-differential tests pin this).
+// PredictBatch calls (batcher.go): each batch is whatever queued while the
+// previous one ran, up to MaxBatch rows, and nothing waits on a timer. The
+// model's forward pass is row-independent at inference, so coalescing never
+// changes any stream's answers (the batching-invariance and
+// golden-differential tests pin this).
 //
 // Shutdown protocol (the waitleak contract): Close stops the listener, sets
 // an immediate read deadline on every open connection so idle handlers
@@ -58,10 +59,6 @@ type Config struct {
 	// MaxBatch bounds the rows coalesced into one PredictBatch call
 	// (default 32).
 	MaxBatch int
-	// MaxWait bounds how long the batcher waits to fill a batch after its
-	// first request arrives. Zero means greedy: take whatever is already
-	// queued and run.
-	MaxWait time.Duration
 	// QueueDepth is the admission-queue capacity (default 4x MaxBatch).
 	QueueDepth int
 	// IdleTimeout evicts sessions unused for this long (0 disables the
@@ -114,6 +111,12 @@ type Server struct {
 	handlers sync.WaitGroup // accept loop + connection handlers
 	loops    sync.WaitGroup // batcher + janitor
 	stop     chan struct{}  // closed by Close; stops the janitor
+
+	// beforeBatch, when set, runs on the batcher goroutine after it takes
+	// a batch's first request and before it drains the queue. Tests set it
+	// before Start to hold the batcher and build a backlog; it is always
+	// nil in production.
+	beforeBatch func()
 }
 
 // New validates the configuration and builds a server (no goroutines start

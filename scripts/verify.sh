@@ -79,11 +79,12 @@ go test -race ./internal/tensor/ ./internal/nn/ ./internal/trace/ ./internal/met
 go test -race -run 'Parallel|Deterministic|Workers|LearnsCycleWith' ./internal/voyager/
 # prefetchd's concurrency surface: many connection handlers against one
 # batcher, the session table under contention with the eviction janitor,
-# and the 100x start/stop goroutine-leak cycle. The golden differentials
-# re-train the fixture under -race (slow), so race-check the contention,
-# leak, and batching-invariance tests specifically.
-echo "== go test -race (serve: contention, leaks, batching invariance)"
-go test -race -run 'Concurrent|StartStop|Invariance|CloseIsIdempotent' ./internal/serve/
+# the 100x start/stop goroutine-leak cycle, the batcher's test hold, and the
+# drain behind a peer that never reads. The golden differentials re-train
+# the fixture under -race (slow), so race-check the contention, leak,
+# batching, and drain tests specifically.
+echo "== go test -race (serve: contention, leaks, batching, drain)"
+go test -race -run 'Concurrent|StartStop|Invariance|Coalesces|CloseIsIdempotent|CloseTerminates' ./internal/serve/
 
 echo "== fuzz trace.Read + metrics.ParseSnapshot + f16 converters + weights/table loaders + serve decoder (bounded)"
 go test -run=NONE -fuzz=FuzzRead -fuzztime=10s ./internal/trace/
