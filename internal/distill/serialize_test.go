@@ -3,6 +3,7 @@ package distill
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"slices"
@@ -70,6 +71,23 @@ func TestSerializationByteStable(t *testing.T) {
 	}
 	if !bytes.Equal(f1, b1) {
 		t.Fatalf("Save output differs from WriteTo output")
+	}
+}
+
+// goldenTableHash is the FNV-64a hash of the fixed-seed fixture's table
+// file compiled with DefaultParams. It pins the table bytes across
+// commits: a change to the context-key fold, the window clamp, the slot
+// packing or the build order moves it.
+const goldenTableHash = uint64(0x893b593d2dc99915)
+
+func TestTableBytesGolden(t *testing.T) {
+	tab := Compile(trainedPredictor(t), 0, 4000, DefaultParams())
+	h := fnv.New64a()
+	if _, err := tab.WriteTo(h); err != nil {
+		t.Fatalf("WriteTo: %v", err)
+	}
+	if got := h.Sum64(); got != goldenTableHash {
+		t.Fatalf("table file hash %#x, want %#x (bit-identical)", got, goldenTableHash)
 	}
 }
 
