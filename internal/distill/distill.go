@@ -23,6 +23,8 @@ import (
 
 	"voyager/internal/sortkeys"
 	"voyager/internal/tensor/quant"
+	"voyager/internal/trace"
+	"voyager/internal/vocab"
 	"voyager/internal/voyager"
 )
 
@@ -39,20 +41,16 @@ func mix(h, v uint64) uint64 {
 	return h * fnvPrime64
 }
 
-// TokPair is one (page, offset) token pair of the context history.
-type TokPair struct {
-	Page, Off int32
-}
-
-// ContextKey hashes a full trigger context: the trigger's PC token plus the
-// history of (page, offset) token pairs, oldest first. Tokens are offset by
-// one so token id 0 still perturbs the hash. The zero hash value is
-// reserved as the empty-bucket marker.
-func ContextKey(pcTok int, hist []TokPair) uint64 {
-	h := mix(fnvOffset64, uint64(pcTok)+1)
-	for _, p := range hist {
-		h = mix(h, uint64(uint32(p.Page))+1)
-		h = mix(h, uint64(uint32(p.Off))+1)
+// ContextKey hashes a full trigger context, the window of (pc, page,
+// offset) triples a vocab.Stream or vocab.WindowAt produces: the trigger's
+// (last triple's) PC token, then each (page, offset) pair oldest first.
+// Tokens are offset by one so token id 0 still perturbs the hash. The zero
+// hash value is reserved as the empty-bucket marker. win must not be empty.
+func ContextKey(win []vocab.Tok) uint64 {
+	h := mix(fnvOffset64, uint64(uint32(win[len(win)-1].PC))+1)
+	for _, t := range win {
+		h = mix(h, uint64(uint32(t.Page))+1)
+		h = mix(h, uint64(uint32(t.Off))+1)
 	}
 	if h == 0 {
 		h = 1
@@ -60,9 +58,9 @@ func ContextKey(pcTok int, hist []TokPair) uint64 {
 	return h
 }
 
-// PairKey hashes a single (page, offset) token pair — the key domain of the
+// pairKey hashes a single (page, offset) token pair — the key domain of the
 // Markov fallback table.
-func PairKey(pageTok, offTok int) uint64 {
+func pairKey(pageTok, offTok int) uint64 {
 	h := mix(mix(fnvOffset64, uint64(pageTok)+1), uint64(offTok)+1)
 	if h == 0 {
 		h = 1
@@ -257,18 +255,80 @@ type Table struct {
 	markov *subtable
 }
 
-// Lookup resolves a context key through the fallback chain: full-context
-// table first, then the Markov table under the trigger-pair key. The
-// returned slots alias the table (read-only; trailing zero slots are
-// empty), nil on a full miss.
-func (t *Table) Lookup(ctxKey, trigKey uint64) ([]uint64, Tier) {
-	if s := t.main.lookup(ctxKey); s != nil {
+// keys returns a window's full-context key and its trigger-pair key.
+func keys(win []vocab.Tok) (ctx, trig uint64) {
+	t := win[len(win)-1]
+	return ContextKey(win), pairKey(int(t.Page), int(t.Off))
+}
+
+// Lookup resolves a trigger's window (oldest first, trigger last; HistLen
+// triples for a context hit) through the fallback chain: the full-context
+// table first, then the Markov table under the trigger's (page, offset)
+// pair. The returned slots alias the table (read-only; trailing zero slots
+// are empty), nil on a full miss.
+func (t *Table) Lookup(win []vocab.Tok) ([]uint64, Tier) {
+	ctx, trig := keys(win)
+	if s := t.main.lookup(ctx); s != nil {
 		return s, TierKey
 	}
-	if s := t.markov.lookup(trigKey); s != nil {
+	if s := t.markov.lookup(trig); s != nil {
 		return s, TierMarkov
 	}
 	return nil, TierMiss
+}
+
+// Candidate is one decoded fast-tier prediction: the slot's (page, offset)
+// tokens and the line-aligned address they decode to. The next-line
+// fallback carries tokens -1.
+type Candidate struct {
+	PageTok, OffTok int32
+	Addr            uint64
+}
+
+// Candidates is the fast tier's whole answer for one trigger. It looks the
+// window up (Lookup), decodes each slot against the trigger line, skips the
+// trigger line itself and duplicate addresses, stops at degree candidates,
+// and on a full miss (TierMiss) answers next-line. The candidates are
+// appended to dst[:0]; a dst with capacity for degree candidates (at least
+// one) is never grown.
+//
+//hot:path
+func (t *Table) Candidates(win []vocab.Tok, line uint64, voc *vocab.Vocab, degree int, dst []Candidate) ([]Candidate, Tier) {
+	slots, tier := t.Lookup(win)
+	out := dst[:0]
+	for _, s := range slots {
+		if s == 0 {
+			break
+		}
+		pg, off, _ := DecodeSlot(s)
+		cand, ok := voc.Decode(line, pg, off)
+		if !ok || cand == line {
+			continue
+		}
+		addr := cand << trace.LineBits
+		if hasAddr(out, addr) {
+			continue
+		}
+		//lint:ignore hotalloc grows only when dst holds fewer than degree candidates; steady-state callers pass degree-sized scratch
+		out = append(out, Candidate{PageTok: int32(pg), OffTok: int32(off), Addr: addr})
+		if len(out) == degree {
+			break
+		}
+	}
+	if len(out) == 0 && tier == TierMiss {
+		//lint:ignore hotalloc grows only when dst has no capacity; steady-state callers pass degree-sized scratch
+		out = append(out, Candidate{PageTok: -1, OffTok: -1, Addr: (line + 1) << trace.LineBits})
+	}
+	return out, tier
+}
+
+func hasAddr(cands []Candidate, addr uint64) bool {
+	for _, c := range cands {
+		if c.Addr == addr {
+			return true
+		}
+	}
+	return false
 }
 
 // Bytes returns the in-memory (= on-disk payload) size of the table arrays.
@@ -304,25 +364,13 @@ func (t *Table) String() string {
 		t.HistLen, t.TopK, s.Keys, s.Buckets, s.MarkovKeys, s.MarkovBuckets, s.Bytes)
 }
 
-// KeyAt computes the full-context key the online predictor would observe at
-// trigger position t of the bound trace (history clamped at the start,
-// matching both buildBatch and the online ring-buffer warmup).
+// KeyAt computes the full-context key the compiler hashes for trigger
+// position t of the bound trace: ContextKey over vocab.WindowAt's clamped
+// window of histLen triples.
 func KeyAt(p *voyager.Predictor, t, histLen int) uint64 {
-	return keyAt(p, t, histLen, make([]TokPair, 0, histLen))
-}
-
-func keyAt(p *voyager.Predictor, t, histLen int, buf []TokPair) uint64 {
-	buf = buf[:0]
-	for j := t - histLen + 1; j <= t; j++ {
-		idx := j
-		if idx < 0 {
-			idx = 0
-		}
-		_, pg, off := p.TokensAt(idx)
-		buf = append(buf, TokPair{Page: int32(pg), Off: int32(off)})
-	}
-	pc, _, _ := p.TokensAt(t)
-	return ContextKey(pc, buf)
+	win := make([]vocab.Tok, histLen)
+	vocab.WindowAt(p.Tokens(), t, win)
+	return ContextKey(win)
 }
 
 // candAgg accumulates one candidate's teacher weight under a key.
@@ -376,7 +424,7 @@ func Compile(p *voyager.Predictor, lo, hi int, prm Params) *Table {
 	}
 	agg := make(map[uint64]*keyAgg)
 	markov := make(map[uint64]*keyAgg)
-	buf := make([]TokPair, 0, prm.HistLen)
+	win := make([]vocab.Tok, prm.HistLen)
 	positions := make([]int, 0, compileBatch)
 	flush := func() {
 		if len(positions) == 0 {
@@ -384,9 +432,8 @@ func Compile(p *voyager.Predictor, lo, hi int, prm Params) *Table {
 		}
 		cands := p.PredictAt(positions, prm.TopK)
 		for b, t := range positions {
-			key := keyAt(p, t, prm.HistLen, buf)
-			_, pg, off := p.TokensAt(t)
-			trig := PairKey(pg, off)
+			vocab.WindowAt(p.Tokens(), t, win)
+			key, trig := keys(win)
 			for _, c := range cands[b] {
 				w := float32(c.Score)
 				if w <= 0 {
@@ -450,33 +497,42 @@ func buildSubtable(agg map[uint64]*keyAgg, log2, topK, maxProbe int) *subtable {
 // teacher itself has no candidate are skipped; a table miss on a scored
 // trigger counts as disagreement.
 func Agreement(p *voyager.Predictor, t *Table, positions []int) float64 {
-	if len(positions) == 0 {
-		return 0
-	}
-	buf := make([]TokPair, 0, t.HistLen)
-	agree, scored := 0, 0
+	return AgreementWith(p, t, positions, TeacherTop1(p, positions))
+}
+
+// TeacherTop1 returns the teacher's top-1 (page, offset) token pair at each
+// position, {-1, -1} where it has no candidate — one teacher pass that
+// AgreementWith can score any number of tables against.
+func TeacherTop1(p *voyager.Predictor, positions []int) [][2]int {
+	out := make([][2]int, len(positions))
 	for lo := 0; lo < len(positions); lo += compileBatch {
-		hi := lo + compileBatch
-		if hi > len(positions) {
-			hi = len(positions)
+		hi := min(lo+compileBatch, len(positions))
+		for b, cands := range p.PredictAt(positions[lo:hi], 1) {
+			out[lo+b] = [2]int{-1, -1}
+			if len(cands) > 0 {
+				out[lo+b] = [2]int{cands[0].PageTok, cands[0].OffTok}
+			}
 		}
-		batch := positions[lo:hi]
-		teacher := p.PredictAt(batch, 1)
-		for b, pos := range batch {
-			if len(teacher[b]) == 0 {
-				continue
-			}
-			scored++
-			key := keyAt(p, pos, t.HistLen, buf)
-			_, pg, off := p.TokensAt(pos)
-			slots, _ := t.Lookup(key, PairKey(pg, off))
-			if len(slots) == 0 || slots[0] == 0 {
-				continue
-			}
-			sp, so, _ := DecodeSlot(slots[0])
-			if sp == teacher[b][0].PageTok && so == teacher[b][0].OffTok {
-				agree++
-			}
+	}
+	return out
+}
+
+// AgreementWith is Agreement against precomputed TeacherTop1 pairs.
+func AgreementWith(p *voyager.Predictor, t *Table, positions []int, teacher [][2]int) float64 {
+	win := make([]vocab.Tok, t.HistLen)
+	agree, scored := 0, 0
+	for i, pos := range positions {
+		if teacher[i][0] < 0 {
+			continue
+		}
+		scored++
+		vocab.WindowAt(p.Tokens(), pos, win)
+		slots, _ := t.Lookup(win)
+		if len(slots) == 0 || slots[0] == 0 {
+			continue
+		}
+		if pg, off, _ := DecodeSlot(slots[0]); [2]int{pg, off} == teacher[i] {
+			agree++
 		}
 	}
 	if scored == 0 {

@@ -2,9 +2,12 @@ package distill
 
 import (
 	"bytes"
+	"slices"
+	"sync"
 	"testing"
 
 	"voyager/internal/trace"
+	"voyager/internal/vocab"
 	"voyager/internal/voyager"
 )
 
@@ -28,16 +31,27 @@ func cyclicTrace(laps int) *trace.Trace {
 	return tr
 }
 
+// trainedPredictor returns the fixed-seed teacher trained on
+// cyclicTrace(500), trained once per test binary: compiling and agreement
+// only read it (tests run sequentially, so its batch scratch is not
+// shared across goroutines).
 func trainedPredictor(t *testing.T) *voyager.Predictor {
 	t.Helper()
-	tr := cyclicTrace(500) // 4000 accesses
-	cfg := voyager.FastConfig()
-	cfg.EpochAccesses = 1000
-	p, err := voyager.Train(tr, cfg)
-	if err != nil {
-		t.Fatalf("Train: %v", err)
+	teacher.once.Do(func() {
+		cfg := voyager.FastConfig()
+		cfg.EpochAccesses = 1000
+		teacher.p, teacher.err = voyager.Train(cyclicTrace(500), cfg) // 4000 accesses
+	})
+	if teacher.err != nil {
+		t.Fatalf("Train: %v", teacher.err)
 	}
-	return p
+	return teacher.p
+}
+
+var teacher struct {
+	once sync.Once
+	p    *voyager.Predictor
+	err  error
 }
 
 func testParams() Params {
@@ -64,25 +78,27 @@ func TestPackSlotRoundTrip(t *testing.T) {
 }
 
 func TestKeysNeverZero(t *testing.T) {
-	if ContextKey(0, nil) == 0 || PairKey(0, 0) == 0 {
+	if ContextKey([]vocab.Tok{{}}) == 0 || pairKey(0, 0) == 0 {
 		t.Fatalf("zero-valued key would collide with the empty-bucket marker")
 	}
-	if ContextKey(1, nil) == ContextKey(2, nil) {
+	if ContextKey([]vocab.Tok{{PC: 1}}) == ContextKey([]vocab.Tok{{PC: 2}}) {
 		t.Fatalf("PC token does not perturb the context key")
 	}
-	h := []TokPair{{1, 2}, {3, 4}}
-	if ContextKey(1, h) == ContextKey(1, []TokPair{{3, 4}, {1, 2}}) {
+	if ContextKey([]vocab.Tok{{PC: 1}, {PC: 2}}) != ContextKey([]vocab.Tok{{PC: 3}, {PC: 2}}) {
+		t.Fatalf("a history PC token perturbs the context key; only the trigger's may")
+	}
+	h := []vocab.Tok{{Page: 1, Off: 2}, {PC: 1, Page: 3, Off: 4}}
+	if ContextKey(h) == ContextKey([]vocab.Tok{{Page: 3, Off: 4}, {PC: 1, Page: 1, Off: 2}}) {
 		t.Fatalf("history order does not perturb the context key")
 	}
 }
 
 // KeyAt must clamp history at the trace start exactly like the online
-// replayer, which back-fills its ring with the first pair.
+// replayer, which back-fills its ring with the first triple.
 func TestKeyAtClampsAtStart(t *testing.T) {
 	p := trainedPredictor(t)
-	pc, pg, off := p.TokensAt(0)
-	pair := TokPair{Page: int32(pg), Off: int32(off)}
-	want := ContextKey(pc, []TokPair{pair, pair, pair})
+	first := p.Tokens()[0]
+	want := ContextKey([]vocab.Tok{first, first, first})
 	if got := KeyAt(p, 0, 3); got != want {
 		t.Fatalf("KeyAt(0) = %#x, want clamped %#x", got, want)
 	}
@@ -102,21 +118,94 @@ func TestCompileLookupTiers(t *testing.T) {
 
 	// A calibration trigger must hit the full-context tier.
 	pos := p.NumAccesses() / 2
-	_, pg, off := p.TokensAt(pos)
-	slots, tier := tab.Lookup(KeyAt(p, pos, tab.HistLen), PairKey(pg, off))
+	win := make([]vocab.Tok, tab.HistLen)
+	vocab.WindowAt(p.Tokens(), pos, win)
+	slots, tier := tab.Lookup(win)
 	if tier != TierKey || len(slots) == 0 || slots[0] == 0 {
 		t.Fatalf("calibration trigger: tier %v, slots %v", tier, slots)
 	}
 
 	// An unseen context with a seen trigger pair falls back to Markov.
-	_, tier = tab.Lookup(ContextKey(12345, []TokPair{{9999, 1}}), PairKey(pg, off))
-	if tier != TierMarkov {
+	trig := win[len(win)-1]
+	unseen := []vocab.Tok{{Page: 9999, Off: 1}, {PC: 12345, Page: trig.Page, Off: trig.Off}}
+	if _, tier = tab.Lookup(unseen); tier != TierMarkov {
 		t.Fatalf("unseen context, seen trigger: tier %v, want TierMarkov", tier)
 	}
 
 	// Garbage on both levels misses.
-	if _, tier = tab.Lookup(ContextKey(12345, []TokPair{{9999, 1}}), PairKey(31337, 99)); tier != TierMiss {
+	if _, tier = tab.Lookup([]vocab.Tok{{PC: 12345, Page: 31337, Off: 99}}); tier != TierMiss {
 		t.Fatalf("garbage lookup: tier %v, want TierMiss", tier)
+	}
+}
+
+// Candidates owns the slot decode: it skips the trigger line and a second
+// slot that decodes to an already-emitted address, caps at degree, tells
+// the tiers apart, and answers next-line with tokens -1 on a full miss.
+// The table is built by hand so every case is exact.
+func TestCandidatesDecode(t *testing.T) {
+	tr := &trace.Trace{Name: "decode"}
+	for i, l := range []uint64{10, 20, 999, 10, 20} {
+		tr.Append(100, l<<trace.LineBits, uint64(i+1))
+	}
+	voc := vocab.Build(tr, vocab.DefaultOptions())
+	// Lines 10 and 20 share absolute page token 0; line 999 is page delta
+	// 15 (token 1) with offset delta +19 from line 20.
+	win := []vocab.Tok{{PC: int32(voc.PCToken(100)), Page: 0, Off: 20}}
+	dOff := func(d int) int32 { return int32(vocab.NumAbsOffsets + d + trace.NumOffsets - 1) }
+	prm := Params{HistLen: 1, TopK: 4, Log2Buckets: 3, MarkovLog2: 2, MaxProbe: 4}
+	tab := &Table{Params: prm, VocabFP: voc.Fingerprint()}
+	tab.main = newSubtable(prm.Log2Buckets, prm.TopK, prm.MaxProbe)
+	tab.markov = newSubtable(prm.MarkovLog2, prm.TopK, prm.MaxProbe)
+	ctx, _ := keys(win)
+	tab.main.insert(ctx, 1, []uint64{
+		packSlot(0, 20, 0.4),        // line 20: the trigger itself
+		packSlot(0, 10, 0.3),        // line 10
+		packSlot(0, dOff(-10), 0.2), // line 10 again, via an offset delta
+		packSlot(1, dOff(19), 0.1),  // line 999
+	}, make([]float32, 8))
+
+	cands, tier := tab.Candidates(win, 20, voc, 4, nil)
+	want := []Candidate{{PageTok: 0, OffTok: 10, Addr: 10 << trace.LineBits},
+		{PageTok: 1, OffTok: dOff(19), Addr: 999 << trace.LineBits}}
+	if tier != TierKey || !slices.Equal(cands, want) {
+		t.Fatalf("context hit: tier %v, candidates %+v, want %+v", tier, cands, want)
+	}
+	if cands, _ = tab.Candidates(win, 20, voc, 1, cands); !slices.Equal(cands, want[:1]) {
+		t.Fatalf("degree 1: candidates %+v, want %+v", cands, want[:1])
+	}
+	miss := []vocab.Tok{{PC: 7, Page: 0, Off: 11}}
+	cands, tier = tab.Candidates(miss, 41, voc, 2, nil)
+	next := Candidate{PageTok: -1, OffTok: -1, Addr: 42 << trace.LineBits}
+	if tier != TierMiss || len(cands) != 1 || cands[0] != next {
+		t.Fatalf("full miss: tier %v, candidates %+v, want next-line %+v", tier, cands, next)
+	}
+}
+
+// The fast tier's steady state — Stream.Advance, Stream.Window, and
+// Table.Candidates with warm scratch — allocates nothing (the //hot:path
+// contract the hotalloc analyzer checks line by line).
+func TestCandidatesAllocFree(t *testing.T) {
+	p := trainedPredictor(t)
+	tab := Compile(p, 0, p.NumAccesses(), testParams())
+	tr := cyclicTrace(500)
+	voc := p.Model.Vocab()
+	const degree = 2
+	st := voc.NewStream(tab.HistLen)
+	win := make([]vocab.Tok, tab.HistLen)
+	dst := make([]Candidate, 0, degree)
+	i := 0
+	step := func() {
+		a := tr.Accesses[i%tr.Len()]
+		st.Advance(a.PC, a.Addr)
+		st.Window(win)
+		dst, _ = tab.Candidates(win, st.Line(), voc, degree, dst)
+		i++
+	}
+	for i < 64 {
+		step()
+	}
+	if n := testing.AllocsPerRun(1000, step); n != 0 {
+		t.Fatalf("fast-tier steady state allocates %v per access, want 0", n)
 	}
 }
 

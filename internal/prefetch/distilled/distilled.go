@@ -1,8 +1,11 @@
 // Package distilled replays a tabularized Voyager (internal/distill)
-// online: each access updates a tiny ring of (page, offset) context tokens,
-// hashes it, and probes the distilled table — no neural forward pass, so a
-// prediction costs a few hash folds and at most 2·MaxProbe array reads
-// (hundreds of nanoseconds instead of a full LSTM inference).
+// online: each access advances a vocab.Stream and hands its window to
+// distill.Table.Candidates — no neural forward pass, so a prediction costs
+// a few hash folds and at most 2·MaxProbe array reads (hundreds of
+// nanoseconds instead of a full LSTM inference). The stream owns the
+// encoding and the warmup back-fill, the table owns the slot decode; the
+// serving daemon's fast tier calls the same two, so it answers exactly
+// what this replayer answers.
 package distilled
 
 import (
@@ -20,15 +23,11 @@ type Prefetcher struct {
 	voc    *vocab.Vocab
 	degree int
 
-	// hist is the rolling context window, oldest first; until HistLen
-	// accesses have been seen it is back-filled with the first pair, the
-	// same clamping the compiler applies at the trace start.
-	hist     []distill.TokPair
-	seen     int
-	prevLine uint64
+	stream vocab.Stream
+	win    []vocab.Tok // context window scratch, HistLen triples
 
 	tiers [distill.NumTiers]int
-	out   []uint64 // returned-slice scratch; callers get fresh copies
+	out   []distill.Candidate // candidate scratch; callers get fresh addresses
 }
 
 // New binds a table to the vocabulary of the trace it will replay. The
@@ -48,8 +47,9 @@ func New(tab *distill.Table, voc *vocab.Vocab, degree int) (*Prefetcher, error) 
 		tab:    tab,
 		voc:    voc,
 		degree: degree,
-		hist:   make([]distill.TokPair, tab.HistLen),
-		out:    make([]uint64, 0, degree),
+		stream: voc.NewStream(tab.HistLen),
+		win:    make([]vocab.Tok, tab.HistLen),
+		out:    make([]distill.Candidate, 0, degree),
 	}, nil
 }
 
@@ -59,74 +59,30 @@ func (p *Prefetcher) Name() string { return "distilled" }
 // Reset clears the context window (tier counters persist) so the
 // prefetcher can replay another pass over the same trace.
 func (p *Prefetcher) Reset() {
-	p.seen = 0
+	p.stream = p.voc.NewStream(p.tab.HistLen)
 }
 
 // TierCounts returns how many accesses were answered by each fallback
 // tier (indexed by distill.Tier) since construction.
 func (p *Prefetcher) TierCounts() [distill.NumTiers]int { return p.tiers }
 
-// Access implements prefetch.Prefetcher: encode the access, roll the
-// context window, probe the fallback chain, and decode up to degree
-// distinct lines. On a full table miss it degrades to next-line.
+// Access implements prefetch.Prefetcher: advance the stream and answer
+// from the table (distill.Table.Candidates: the fallback chain, the decode,
+// and the next-line degradation on a full miss).
 func (p *Prefetcher) Access(_ int, a trace.Access) []uint64 {
-	line := trace.Line(a.Addr)
-	if p.seen == 0 {
-		p.prevLine = line
-	}
-	pTok, oTok := p.voc.EncodeAccess(p.prevLine, line)
-	p.prevLine = line
-	pair := distill.TokPair{Page: int32(pTok), Off: int32(oTok)}
-	if p.seen == 0 {
-		for i := range p.hist {
-			p.hist[i] = pair
-		}
-	} else {
-		copy(p.hist, p.hist[1:])
-		p.hist[len(p.hist)-1] = pair
-	}
-	p.seen++
-
-	key := distill.ContextKey(p.voc.PCToken(a.PC), p.hist)
-	slots, tier := p.tab.Lookup(key, distill.PairKey(pTok, oTok))
+	p.stream.Advance(a.PC, a.Addr)
+	p.stream.Window(p.win)
+	var tier distill.Tier
+	p.out, tier = p.tab.Candidates(p.win, p.stream.Line(), p.voc, p.degree, p.out)
 	p.tiers[tier]++
-
-	p.out = p.out[:0]
-	for _, s := range slots {
-		if s == 0 {
-			break
-		}
-		pg, off, _ := distill.DecodeSlot(s)
-		cand, ok := p.voc.Decode(line, pg, off)
-		if !ok || cand == line {
-			continue
-		}
-		if dup(p.out, cand<<trace.LineBits) {
-			continue
-		}
-		p.out = append(p.out, cand<<trace.LineBits)
-		if len(p.out) == p.degree {
-			break
-		}
-	}
-	if len(p.out) == 0 && tier == distill.TierMiss {
-		p.out = append(p.out, (line+1)<<trace.LineBits)
-	}
 	if len(p.out) == 0 {
 		return nil
 	}
 	// The simulator and eval pipeline retain returned slices; hand out a
 	// fresh copy and keep the scratch for the next access.
 	res := make([]uint64, len(p.out))
-	copy(res, p.out)
-	return res
-}
-
-func dup(xs []uint64, x uint64) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
+	for i, c := range p.out {
+		res[i] = c.Addr
 	}
-	return false
+	return res
 }

@@ -77,14 +77,18 @@ func TestReplayPredictsCycle(t *testing.T) {
 }
 
 // The online key stream must match the compiler's offline KeyAt exactly —
-// the contract that makes calibration hits land in TierKey at replay.
+// the contract that makes calibration hits land in TierKey at replay. The
+// online side is the replayer's own machinery: a vocab.Stream window of
+// HistLen triples.
 func TestOnlineKeysMatchCompiler(t *testing.T) {
 	tr := cyclicTrace(200)
-	pf, p := distilledOver(t, tr, 1)
+	_, p := distilledOver(t, tr, 1)
+	st := p.Model.Vocab().NewStream(3)
+	win := make([]vocab.Tok, 3)
 	for i := 0; i < 64; i++ {
-		pf.Access(i, tr.Accesses[i])
-		pcTok := p.Model.Vocab().PCToken(tr.Accesses[i].PC)
-		if got, want := distill.ContextKey(pcTok, pf.hist), distill.KeyAt(p, i, 3); got != want {
+		st.Advance(tr.Accesses[i].PC, tr.Accesses[i].Addr)
+		st.Window(win)
+		if got, want := distill.ContextKey(win), distill.KeyAt(p, i, 3); got != want {
 			t.Fatalf("access %d: online key %#x != offline key %#x", i, got, want)
 		}
 	}

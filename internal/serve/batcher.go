@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"voyager/internal/trace"
+	"voyager/internal/vocab"
 	"voyager/internal/voyager"
 )
 
@@ -31,8 +32,8 @@ import (
 // answering. A traced pending carries the client's span id so the batcher
 // can mark the batch on the request's cross-process timeline.
 type pending struct {
-	row   []tok3 // seqLen triples, oldest first
-	line  uint64 // trigger cache line
+	row   []vocab.Tok // seqLen triples, oldest first
+	line  uint64      // trigger cache line
 	enq   time.Time
 	reply chan []voyager.Candidate
 
@@ -49,9 +50,6 @@ func (s *Server) batchLoop() {
 	defer s.loops.Done()
 	batch := make([]*pending, 0, s.cfg.MaxBatch)
 	tb := voyager.NewTokenBatch(s.seqLen)
-	pcs := make([]int32, s.seqLen)
-	pages := make([]int32, s.seqLen)
-	offs := make([]int32, s.seqLen)
 	for {
 		p, ok := <-s.queue
 		if !ok {
@@ -73,12 +71,12 @@ func (s *Server) batchLoop() {
 				break drain
 			}
 		}
-		s.runBatch(batch, tb, pcs, pages, offs)
+		s.runBatch(batch, tb)
 	}
 }
 
 // runBatch runs one coalesced PredictBatch call and answers each request.
-func (s *Server) runBatch(batch []*pending, tb *voyager.TokenBatch, pcs, pages, offs []int32) {
+func (s *Server) runBatch(batch []*pending, tb *voyager.TokenBatch) {
 	now := time.Now()
 	for _, p := range batch {
 		s.obs.queueWait.Observe(now.Sub(p.enq).Seconds())
@@ -93,10 +91,7 @@ func (s *Server) runBatch(batch []*pending, tb *voyager.TokenBatch, pcs, pages, 
 		if p.traced {
 			s.obs.rpcBatchTk.AsyncInstant("srv_batch", p.spanID)
 		}
-		for i, t := range p.row {
-			pcs[i], pages[i], offs[i] = t.pc, t.page, t.off
-		}
-		tb.Add(pcs, pages, offs)
+		tb.Add(p.row)
 	}
 	cands := s.cfg.Model.PredictTokenBatch(tb, s.degree)
 	sp.End()

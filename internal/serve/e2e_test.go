@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 
+	"voyager/internal/distill"
+	"voyager/internal/metrics"
 	"voyager/internal/prefetch/distilled"
 )
 
@@ -110,10 +112,12 @@ func TestServingGoldenDifferential(t *testing.T) {
 // TestServingFastTierDifferential proves the inline fast tier returns
 // exactly what the offline distilled replayer returns for the same stream:
 // same addresses in the same order, including the next-line degradation on
-// full table misses.
+// full table misses, with every access answered from the same fallback
+// tier (the daemon's per-tier counters equal the replayer's TierCounts).
 func TestServingFastTierDifferential(t *testing.T) {
 	fixture(t)
-	s := startServer(t, Config{Model: fx.p.Model, Table: fx.tab})
+	reg := metrics.NewRegistry()
+	s := startServer(t, Config{Model: fx.p.Model, Table: fx.tab, Metrics: reg})
 
 	off, err := distilled.New(fx.tab, fx.p.Model.Vocab(), fx.degree)
 	if err != nil {
@@ -140,6 +144,13 @@ func TestServingFastTierDifferential(t *testing.T) {
 			if r.Cands[i].Addr != addr {
 				t.Fatalf("pos %d cand %d: addr %#x, want %#x", pos, i, r.Cands[i].Addr, addr)
 			}
+		}
+	}
+	want := off.TierCounts()
+	for tier := distill.Tier(0); tier < distill.NumTiers; tier++ {
+		name := "serve_fast_tier_" + tier.String() + "_total"
+		if got := reg.Counter(name).Value(); got != uint64(want[tier]) {
+			t.Errorf("%s = %d, replayer answered %d from that tier", name, got, want[tier])
 		}
 	}
 }

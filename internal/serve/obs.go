@@ -15,6 +15,7 @@ import (
 	"sort"
 	"sync/atomic"
 
+	"voyager/internal/distill"
 	"voyager/internal/metrics"
 	"voyager/internal/tracing"
 )
@@ -30,7 +31,7 @@ type serveObs struct {
 
 	batches    *metrics.Counter // PredictBatch calls
 	batchRows  *metrics.Counter // total rows across batches (exact fill = rows/batches)
-	tierCounts [3]*metrics.Counter
+	tierCounts [distill.NumTiers]*metrics.Counter
 
 	janitorPasses *metrics.Counter // idle-eviction sweeps completed
 
@@ -52,38 +53,27 @@ type serveObs struct {
 
 func newServeObs(reg *metrics.Registry, tr *tracing.Tracer) *serveObs {
 	o := &serveObs{
-		requests:  reg.Counter("serve_requests_total"),
-		modelReqs: reg.Counter("serve_requests_model_total"),
-		fastReqs:  reg.Counter("serve_requests_fast_total"),
-		errors:    reg.Counter("serve_errors_total"),
+		requests:      reg.Counter("serve_requests_total"),
+		modelReqs:     reg.Counter("serve_requests_model_total"),
+		fastReqs:      reg.Counter("serve_requests_fast_total"),
+		errors:        reg.Counter("serve_errors_total"),
 		batches:       reg.Counter("serve_batches_total"),
 		batchRows:     reg.Counter("serve_batch_rows_total"),
 		janitorPasses: reg.Counter("serve_janitor_passes_total"),
 		conns:         reg.Gauge("serve_conns_active"),
 		traceDropped:  reg.Gauge("tracing_dropped_events"),
-		queueWait: reg.Histogram("serve_queue_wait_seconds"),
-		batchFill: reg.Histogram("serve_batch_rows"),
-		reqSec:    reg.Histogram("serve_request_seconds"),
-		fastSec:   reg.Histogram("serve_fast_request_seconds"),
-		tracer:     tr,
-		batchTk:    tr.Track("prefetchd", "batcher"),
-		rpcBatchTk: tr.Track("rpc", "batcher"),
+		queueWait:     reg.Histogram("serve_queue_wait_seconds"),
+		batchFill:     reg.Histogram("serve_batch_rows"),
+		reqSec:        reg.Histogram("serve_request_seconds"),
+		fastSec:       reg.Histogram("serve_fast_request_seconds"),
+		tracer:        tr,
+		batchTk:       tr.Track("prefetchd", "batcher"),
+		rpcBatchTk:    tr.Track("rpc", "batcher"),
 	}
 	for i := range o.tierCounts {
-		o.tierCounts[i] = reg.Counter("serve_fast_tier_" + tierName(i) + "_total")
+		o.tierCounts[i] = reg.Counter("serve_fast_tier_" + distill.Tier(i).String() + "_total")
 	}
 	return o
-}
-
-func tierName(i int) string {
-	switch i {
-	case 0:
-		return "context"
-	case 1:
-		return "markov"
-	default:
-		return "miss"
-	}
 }
 
 // connTrack returns the timeline row for one connection handler. Track

@@ -49,6 +49,10 @@ const (
 	// respHeaderLen is the fixed response header (version, status, tier,
 	// count).
 	respHeaderLen = 4
+
+	// maxCands is the most candidates a response carries: the count is one
+	// byte. New rejects a Degree above it.
+	maxCands = 255
 )
 
 // Request opcodes.
@@ -214,8 +218,8 @@ func EncodeResponse(dst []byte, r *Response) []byte {
 		return append(dst, msg...)
 	}
 	n := len(r.Cands)
-	if n > 255 {
-		n = 255 // count is one byte; serving degrees are single digits
+	if n > maxCands {
+		n = maxCands
 	}
 	dst = binary.BigEndian.AppendUint32(dst, uint32(respHeaderLen+n*candLen))
 	dst = append(dst, Version, r.Status, r.Tier, byte(n))

@@ -225,6 +225,14 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{Model: fx.p.Model, Table: &bad}); err == nil {
 		t.Error("New accepted a table with a mismatched vocabulary fingerprint")
 	}
+	// The response count is one byte: a degree the wire cannot carry must
+	// be refused rather than silently truncated.
+	if _, err := New(Config{Model: fx.p.Model, Degree: 256}); err == nil {
+		t.Error("New accepted Degree 256, beyond the 255 candidates a response carries")
+	}
+	if _, err := New(Config{Model: fx.p.Model, Degree: 255}); err != nil {
+		t.Errorf("New refused Degree 255: %v", err)
+	}
 }
 
 // TestLatencyRecorder pins the exact-sample recorder: bounded retention,

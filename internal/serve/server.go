@@ -89,11 +89,10 @@ type Config struct {
 // Server is one serving daemon instance. Create with New, start with Start
 // or Serve, stop with Close.
 type Server struct {
-	cfg     Config
-	voc     *vocab.Vocab
-	seqLen  int
-	degree  int
-	histLen int // fast-tier history window (0 when no table)
+	cfg    Config
+	voc    *vocab.Vocab
+	seqLen int
+	degree int
 
 	sessions *sessionTable
 	queue    chan *pending
@@ -138,27 +137,25 @@ func New(cfg Config) (*Server, error) {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 4 * cfg.MaxBatch
 	}
+	if cfg.Degree > maxCands {
+		return nil, fmt.Errorf("serve: Degree %d exceeds the %d candidates a response frame carries", cfg.Degree, maxCands)
+	}
 	voc := cfg.Model.Vocab()
-	histLen := 0
+	ringCap := mcfg.SeqLen
 	if cfg.Table != nil {
 		if got, want := voc.Fingerprint(), cfg.Table.VocabFP; got != want {
 			return nil, fmt.Errorf(
 				"serve: distilled table compiled against a different vocabulary (fingerprint %#x, model's %#x)",
 				want, got)
 		}
-		histLen = cfg.Table.HistLen
-	}
-	ringCap := mcfg.SeqLen
-	if histLen > ringCap {
-		ringCap = histLen
+		ringCap = max(ringCap, cfg.Table.HistLen)
 	}
 	s := &Server{
 		cfg:      cfg,
 		voc:      voc,
 		seqLen:   mcfg.SeqLen,
 		degree:   cfg.Degree,
-		histLen:  histLen,
-		sessions: newSessionTable(ringCap, cfg.Metrics, cfg.Quality),
+		sessions: newSessionTable(voc, ringCap, cfg.Metrics, cfg.Quality),
 		queue:    make(chan *pending, cfg.QueueDepth),
 		obs:      newServeObs(cfg.Metrics, cfg.Tracer),
 		conns:    make(map[uint64]net.Conn),

@@ -10,11 +10,10 @@ import "voyager/internal/vocab"
 // NumAccesses returns the number of accesses in the bound trace.
 func (p *Predictor) NumAccesses() int { return len(p.lines) }
 
-// TokensAt returns the encoded (pc, page, offset) tokens of access i.
-func (p *Predictor) TokensAt(i int) (pcTok, pageTok, offTok int) {
-	t := p.tokens[i]
-	return t.pc, t.page, t.off
-}
+// Tokens returns the encoded (pc, page, offset) triple of every access, in
+// trace order: the stream vocab.WindowAt reads offline. Read-only; it
+// aliases the predictor's storage.
+func (p *Predictor) Tokens() []vocab.Tok { return p.tokens }
 
 // LineAt returns the cache-line number of access i.
 func (p *Predictor) LineAt(i int) uint64 { return p.lines[i] }
@@ -69,24 +68,21 @@ func (b *TokenBatch) Reset() { b.rows = 0 }
 // Rows returns the number of rows added since the last Reset.
 func (b *TokenBatch) Rows() int { return b.rows }
 
-// Add appends one row: the (pc, page, offset) token ids of the stream's
-// seqLen most recent accesses, oldest first. All three slices must have
-// length seqLen.
-func (b *TokenBatch) Add(pc, page, off []int32) {
-	if len(pc) != b.seqLen || len(page) != b.seqLen || len(off) != b.seqLen {
+// Add appends one row: the (pc, page, offset) triples of the stream's
+// seqLen most recent accesses, oldest first (a vocab.Stream window).
+func (b *TokenBatch) Add(row []vocab.Tok) {
+	if len(row) != b.seqLen {
 		panic("voyager: TokenBatch.Add row length != seqLen")
 	}
 	r := b.rows
-	for s := 0; s < b.seqLen; s++ {
+	for s, t := range row {
 		tok := &b.seqs[s]
 		if r < len(tok.pc) {
-			tok.pc[r] = int(pc[s])
-			tok.page[r] = int(page[s])
-			tok.off[r] = int(off[s])
+			tok.pc[r], tok.page[r], tok.off[r] = int(t.PC), int(t.Page), int(t.Off)
 		} else {
-			tok.pc = append(tok.pc, int(pc[s]))
-			tok.page = append(tok.page, int(page[s]))
-			tok.off = append(tok.off, int(off[s]))
+			tok.pc = append(tok.pc, int(t.PC))
+			tok.page = append(tok.page, int(t.Page))
+			tok.off = append(tok.off, int(t.Off))
 		}
 	}
 	b.rows = r + 1

@@ -20,7 +20,7 @@ type Predictor struct {
 
 	lines  []uint64
 	pcs    []uint64
-	tokens []tok
+	tokens []vocab.Tok
 	labels []label.Labels
 
 	preds      [][]uint64 // per access: predicted line-aligned byte addrs
@@ -32,14 +32,11 @@ type Predictor struct {
 	// state training allocates nothing here (same pattern as the predictRange
 	// seen-map hoist).
 	seqBuf                []batchToken
+	winBuf                []vocab.Tok
 	pagePosBuf, offPosBuf [][]int
 	pageWBuf, offWBuf     [][]float32
 	scanPage, scanOff     []int
 	scanPageW, scanOffW   []float32
-}
-
-type tok struct {
-	pc, page, off int
 }
 
 // Train runs the paper's online protocol over the trace: the model trains
@@ -111,15 +108,12 @@ func newPredictor(tr *trace.Trace, cfg Config) (*Predictor, error) {
 	}
 	p.lines = make([]uint64, tr.Len())
 	p.pcs = make([]uint64, tr.Len())
-	p.tokens = make([]tok, tr.Len())
-	prevLine := trace.Line(tr.Accesses[0].Addr)
+	p.tokens = make([]vocab.Tok, tr.Len())
+	st := voc.NewStream(1)
 	for i, a := range tr.Accesses {
-		line := trace.Line(a.Addr)
-		pTok, oTok := voc.EncodeAccess(prevLine, line)
-		p.lines[i] = line
+		p.tokens[i] = st.Advance(a.PC, a.Addr)
+		p.lines[i] = st.Line()
 		p.pcs[i] = a.PC
-		p.tokens[i] = tok{pc: voc.PCToken(a.PC), page: pTok, off: oTok}
-		prevLine = line
 	}
 	return p, nil
 }
@@ -139,16 +133,15 @@ func (p *Predictor) buildBatch(positions []int) []batchToken {
 		seqs[s].page = growInts(seqs[s].page, len(positions))
 		seqs[s].off = growInts(seqs[s].off, len(positions))
 	}
+	if len(p.winBuf) != T {
+		p.winBuf = make([]vocab.Tok, T)
+	}
 	for b, pos := range positions {
-		for s := 0; s < T; s++ {
-			idx := pos - T + 1 + s
-			if idx < 0 {
-				idx = 0
-			}
-			tk := p.tokens[idx]
-			seqs[s].pc[b] = tk.pc
-			seqs[s].page[b] = tk.page
-			seqs[s].off[b] = tk.off
+		vocab.WindowAt(p.tokens, pos, p.winBuf)
+		for s, tk := range p.winBuf {
+			seqs[s].pc[b] = int(tk.PC)
+			seqs[s].page[b] = int(tk.Page)
+			seqs[s].off[b] = int(tk.Off)
 		}
 	}
 	return seqs

@@ -6,7 +6,8 @@
 # bounded fuzz runs of every untrusted-input decoder: the binary trace
 # reader, the metrics snapshot parser, the f16 converters the distilled
 # tables are packed with, the weights-file and distilled-table loaders,
-# and the daemon's wire-protocol request decoder.
+# the daemon's wire-protocol request decoder, and the stream encoder that
+# serving sessions run on client-supplied pc/addr values.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -65,8 +66,9 @@ done
 echo "== bench smoke (matmul_256 + predict_batch_serial vs baseline chain)"
 go run ./cmd/experiments -bench-check
 
-echo "== allocation regression (tape arena steady state, metrics + tracing hot paths)"
+echo "== allocation regression (tape arena steady state, metrics + tracing + fast-tier hot paths)"
 go test -run 'TestSteadyStateAllocBudget' ./internal/voyager/
+go test -run 'TestCandidatesAllocFree' ./internal/distill/
 go test -run 'TestArenaSteadyStateAllocationFree' ./internal/tensor/
 go test -run 'TestHotPathAllocFree' ./internal/metrics/
 go test -run 'TestNilTracerAllocFree' ./internal/tracing/
@@ -86,13 +88,14 @@ go test -race -run 'Parallel|Deterministic|Workers|LearnsCycleWith' ./internal/v
 echo "== go test -race (serve: contention, leaks, batching, drain)"
 go test -race -run 'Concurrent|StartStop|Invariance|Coalesces|CloseIsIdempotent|CloseTerminates' ./internal/serve/
 
-echo "== fuzz trace.Read + metrics.ParseSnapshot + f16 converters + weights/table loaders + serve decoder (bounded)"
+echo "== fuzz trace.Read + metrics.ParseSnapshot + f16 converters + weights/table loaders + serve decoder + stream contract (bounded)"
 go test -run=NONE -fuzz=FuzzRead -fuzztime=10s ./internal/trace/
 go test -run=NONE -fuzz=FuzzParseSnapshot -fuzztime=10s ./internal/metrics/
 go test -run=NONE -fuzz='^FuzzF16RoundTrip$' -fuzztime=10s ./internal/tensor/quant/
 go test -run=NONE -fuzz='^FuzzLoadWeights$' -fuzztime=10s ./internal/nn/
 go test -run=NONE -fuzz='^FuzzLoadTable$' -fuzztime=10s ./internal/distill/
 go test -run=NONE -fuzz='^FuzzDecodeRequest$' -fuzztime=10s ./internal/serve/
+go test -run=NONE -fuzz='^FuzzStreamMatchesWindowAt$' -fuzztime=10s ./internal/vocab/
 
 # A traced end-to-end run: the exported timeline must round-trip through the
 # validator (cmd/tracecheck), and two same-seed logical-clock runs must
